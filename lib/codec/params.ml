@@ -1,4 +1,4 @@
-type t = { primes : int array; cipher : Crypto.Feistel.t; block_bits : int }
+type t = { primes : int array; cipher : Crypto.Feistel.t; block_bits : int; watermark_bits : int }
 
 let seed_of_passphrase passphrase =
   let h = ref 0x811C9DC5A2B39F17L in
@@ -32,7 +32,7 @@ let make ?(prime_bits = 25) ?(block_bits = Crypto.Feistel.default_block_bits) ~p
   if block_bits < 62 && total lsr block_bits <> 0 then
     invalid_arg "Params.make: piece enumeration does not fit the cipher block";
   let cipher = Crypto.Feistel.of_passphrase ~block_bits (passphrase ^ "|piece-cipher") in
-  { primes; cipher; block_bits }
+  { primes; cipher; block_bits; watermark_bits }
 
 let r t = Array.length t.primes
 
@@ -48,4 +48,4 @@ let max_watermark_bits t =
   let bits = Bignum.num_bits cap in
   if Bignum.equal cap (Bignum.shift_left Bignum.one (bits - 1)) then bits - 1 else bits - 1
 
-let fits t w = Bignum.sign w >= 0 && Bignum.compare w (capacity t) < 0
+let fits t w = Bignum.sign w >= 0 && Bignum.num_bits w <= t.watermark_bits

@@ -10,6 +10,7 @@ type t = private {
   primes : int array;  (** sorted, pairwise distinct primes *)
   cipher : Crypto.Feistel.t;
   block_bits : int;  (** width of an encoded piece, [= Feistel.block_bits cipher] *)
+  watermark_bits : int;  (** the declared mark width: marks lie in [\[0, 2^watermark_bits)] *)
 }
 
 val make : ?prime_bits:int -> ?block_bits:int -> passphrase:string -> watermark_bits:int -> unit -> t
@@ -33,5 +34,5 @@ val max_watermark_bits : t -> int
 (** Largest [n] with [2^n <= capacity], i.e. any n-bit watermark fits. *)
 
 val fits : t -> Bignum.t -> bool
-(** Whether a watermark value is representable (nonnegative and below
-    {!capacity}). *)
+(** Whether a watermark value lies in the declared width: nonnegative and
+    below [2^watermark_bits] (hence also below {!capacity}). *)

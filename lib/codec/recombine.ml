@@ -153,7 +153,12 @@ let recover ?(cap = 3000) ?(vote_cap = 3) (params : Params.t) statements =
   let covered = Array.for_all Fun.id mentioned in
   let value =
     if not covered then None
-    else Numtheory.Gcrt.solve (List.map (Statement.to_congruence params) used)
+    else
+      (* a CRT solution wider than the declared mark is stray statements
+         agreeing by chance, never an embedded value *)
+      Option.bind
+        (Numtheory.Gcrt.solve (List.map (Statement.to_congruence params) used))
+        (fun w -> if Params.fits params w then Some w else None)
   in
   { candidates; distinct; after_vote; dropped_by_greedy; used; covered; value }
 
@@ -205,41 +210,13 @@ let confidence params report =
         0.45 *. coverage *. consistency
   end
 
-let harvest ?(dedup_overlaps = true) (params : Params.t) bits ~strides =
-  let width = params.block_bits in
-  let out = ref [] in
-  List.iter
-    (fun stride ->
-      (* Overlapping identical windows are one observation, not many: a long
-         constant-bit run (e.g. a hot loop's branch) yields the same garbage
-         block at hundreds of consecutive positions, which would otherwise
-         swamp the residue vote.  A window only counts when it does not
-         overlap the previous occurrence of the same statement. *)
-      let last_seen = Hashtbl.create 64 in
-      let span = width * stride in
-      let pos = ref 0 in
-      let continue = ref true in
-      while !continue do
-        match Util.Bitstring.window bits ~pos:!pos ~stride ~width with
-        | None -> continue := false
-        | Some block ->
-            (match Statement.decode params block with
-            | Some s ->
-                let key = (s.Statement.i, s.Statement.j, s.Statement.x) in
-                let fresh =
-                  (not dedup_overlaps)
-                  ||
-                  match Hashtbl.find_opt last_seen key with
-                  | Some prev -> !pos - prev >= span
-                  | None -> true
-                in
-                Hashtbl.replace last_seen key !pos;
-                if fresh then out := s :: !out
-            | None -> ());
-            incr pos
-      done)
-    strides;
-  !out
+let harvest ?dedup_overlaps params bits ~strides =
+  let h = Harvest.create ?dedup_overlaps ~strides params in
+  for k = 0 to Util.Bitstring.length bits - 1 do
+    Harvest.push h (Util.Bitstring.get bits k)
+  done;
+  Harvest.statements h
 
-let recover_from_bitstring ?cap ?vote_cap ?dedup_overlaps ?(strides = [ 1; 2 ]) params bits =
+let recover_from_bitstring ?cap ?vote_cap ?dedup_overlaps ?(strides = Harvest.default_strides) params
+    bits =
   recover ?cap ?vote_cap params (harvest ?dedup_overlaps params bits ~strides)

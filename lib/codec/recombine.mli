@@ -14,7 +14,10 @@
       [G]-neighbours, until [G] has no edges;
     + recombines the surviving statements with the {b Generalized CRT}.
 
-    Recovery succeeds when the survivors cover every base prime. *)
+    Recovery succeeds when the survivors cover every base prime and the
+    recombined value fits the declared watermark width ({!Params.fits}):
+    a wider value can only come from stray statements, so it is refused
+    rather than reported. *)
 
 type report = {
   candidates : int;  (** harvested statements, counted with multiplicity *)
@@ -23,7 +26,10 @@ type report = {
   dropped_by_greedy : int;  (** statements deleted by the graph phase *)
   used : Statement.t list;  (** statements passed to the Generalized CRT *)
   covered : bool;  (** every base prime mentioned by some used statement *)
-  value : Bignum.t option;  (** the recovered watermark, when successful *)
+  value : Bignum.t option;
+      (** the recovered watermark, when successful: [None] unless the
+          survivors cover every base prime and their CRT solution lies in
+          [\[0, 2^watermark_bits)] *)
 }
 
 val recover : ?cap:int -> ?vote_cap:int -> Params.t -> Statement.t list -> report
@@ -59,11 +65,10 @@ val confidence : Params.t -> report -> float
 
 val harvest :
   ?dedup_overlaps:bool -> Params.t -> Util.Bitstring.t -> strides:int list -> Statement.t list
-(** Slide a [block_bits]-wide window over every position of the trace
-    bit-string at each given stride, decrypt, and keep the windows that
-    decode to valid statements.  [dedup_overlaps] (default [true]) counts
-    overlapping occurrences of one statement once — constant-bit runs from
-    hot loops otherwise inflate its vote multiplicity (see DESIGN.md). *)
+(** {!Harvest} folded over a whole trace bit-string: every [block_bits]-wide
+    window at every position and each given stride, decrypted, kept when
+    it decodes to a valid statement, in {!Harvest.statements} order.
+    [dedup_overlaps] is {!Harvest.create}'s. *)
 
 val recover_from_bitstring :
   ?cap:int ->
@@ -73,6 +78,5 @@ val recover_from_bitstring :
   Params.t ->
   Util.Bitstring.t ->
   report
-(** [harvest] + [recover]. [strides] defaults to [\[1; 2\]]: stride 1 for
-    condition-generated pieces, stride 2 for loop-generated pieces whose
-    payload bits interleave with the loop-control branch (see DESIGN.md). *)
+(** [harvest] + [recover]. [strides] defaults to
+    {!Harvest.default_strides}. *)

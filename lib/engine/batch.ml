@@ -268,34 +268,14 @@ let default_recognize_fuel = 200_000_000
 let match_against expected value =
   Option.map (fun e -> match value with Some v -> Bignum.equal v e | None -> false) expected
 
-(* Decode the saved trace, apply any injected trace noise, recombine.
-   Degraded recognitions are surfaced as counters: [recognitions.degraded]
-   (recovered despite injected noise) and [recognitions.partial] (not
-   recovered, but some consistent statements survived). *)
-let recognize_bits ?inject ?events ~id ~label ~salt ~key ~bits trace_bytes =
-  let branches = Stackvm.Trace.load_branches trace_bytes in
-  let branches, nfaults =
-    match inject with None -> (branches, 0) | Some plan -> Fault.Inject.branches plan ~salt branches
-  in
-  if nfaults > 0 then
-    emit events
-      (Events.Fault_injected
-         { id; label; layer = "trace"; detail = Printf.sprintf "%d branch event(s) corrupted" nfaults });
-  let bitstr = Stackvm.Trace.bits_of_branches branches in
-  let params = Codec.Params.make ~passphrase:key ~watermark_bits:bits () in
-  let report = Codec.Recombine.recover_from_bitstring ~strides:[ 1; 2 ] params bitstr in
-  (match report.Codec.Recombine.value with
-  | Some _ when nfaults > 0 -> emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 })
-  | None when report.Codec.Recombine.used <> [] ->
-      emit events (Events.Counter { name = "recognitions.partial"; delta = 1 })
-  | _ -> ());
-  report.Codec.Recombine.value
-
-(* Jobs naming a non-default scheme go through the generic registry
-   interface ({!Scheme.Builtin}); the built-in "jwm" keeps its specialized
-   path below, where trace sharing, stride recombination and degraded-mode
-   accounting are tuned.  Composite names ("jwm+gwm") resolve to
-   {!Scheme.Compose} and make the double-watermark mode batchable. *)
+(* Every job but the jwm embed goes through the generic registry
+   interface ({!Scheme.Builtin}): recognition replays the cached trace
+   through the scheme's branch-stream recognizer when it has one, so the
+   fault plan corrupts the replayed stream the same way for every scheme.
+   Composite names ("jwm+gwm") resolve to {!Scheme.Compose} and make the
+   double-watermark mode batchable.  [compute_vm] keeps only the jwm embed,
+   which shares one snapshot-bearing trace across a fleet of fingerprints
+   of the same host. *)
 let scheme_spec (job : Job.t) ~redundancy =
   {
     Scheme.Watermarker.key = job.Job.key;
@@ -310,9 +290,6 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
   let (module W) = Scheme.Builtin.find_exn job.Job.scheme in
   if W.caps.Scheme.Watermarker.track <> Scheme.Watermarker.Vm then
     failwith (Printf.sprintf "scheme %s cannot run on the VM track" job.Job.scheme);
-  let recognize_value spec prog =
-    (W.recognize spec (Scheme.Watermarker.Vm_program prog)).Scheme.Watermarker.value
-  in
   match (action : Job.vm_action) with
   | Job.Embed { fingerprint; pieces } ->
       let e =
@@ -332,12 +309,11 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
       | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme))
   | Job.Recognize { expected } ->
       let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
-      let value =
+      let r =
         match W.recognize_branches with
         | Some recognize_branches ->
             (* offline branch-stream recognition: shares the cached trace
-               and lets the fault plan corrupt the replayed stream, exactly
-               like the jwm path *)
+               and lets the fault plan corrupt the replayed stream *)
             let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
             let capture () =
               Stackvm.Trace.save
@@ -366,13 +342,17 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
                      detail = Printf.sprintf "%d branch event(s) corrupted" nfaults;
                    });
             let r = timed ?events ~id ~stage:"recognize" (fun () -> recognize_branches spec branches) in
-            (match r.Scheme.Watermarker.value with
-            | Some _ when nfaults > 0 ->
-                emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 })
-            | _ -> ());
-            r.Scheme.Watermarker.value
-        | None -> timed ?events ~id ~stage:"recognize" (fun () -> recognize_value spec program)
+            if r.Scheme.Watermarker.value <> None && nfaults > 0 then
+              emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 });
+            r
+        | None ->
+            timed ?events ~id ~stage:"recognize" (fun () ->
+                W.recognize spec (Scheme.Watermarker.Vm_program program))
       in
+      (* not recovered, but some consistent evidence survived *)
+      if r.Scheme.Watermarker.value = None && r.Scheme.Watermarker.confidence > 0.0 then
+        emit events (Events.Counter { name = "recognitions.partial"; delta = 1 });
+      let value = r.Scheme.Watermarker.value in
       Vm_recognized { value; matched = match_against expected value }
   | Job.Attack_campaign { expected; attacks } ->
       let rng = Util.Prng.create job.Job.seed in
@@ -386,9 +366,9 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
                 let attacked = attack (Util.Prng.split rng) program in
                 let alive =
                   timed ?events ~id ~stage:("attack:" ^ name) (fun () ->
-                      match recognize_value spec attacked with
-                      | Some v -> Bignum.equal v expected
-                      | None -> false)
+                      match W.recognize spec (Scheme.Watermarker.Vm_program attacked) with
+                      | { Scheme.Watermarker.value = Some v; _ } -> Bignum.equal v expected
+                      | _ -> false)
                 in
                 (name, alive))
           attacks
@@ -513,13 +493,8 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
         }
 
 let compute_vm ?inject ?cache ?events ?(backend = `Compiled) ~id (job : Job.t) program action =
-  if
-    job.Job.scheme <> Job.default_vm_scheme
-    || (match action with Job.Audit _ | Job.Tournament_cell _ -> true | _ -> false)
-  then compute_vm_scheme ?inject ?cache ?events ~backend ~id job program action
-  else
   match (action : Job.vm_action) with
-  | Job.Embed { fingerprint; pieces } ->
+  | Job.Embed { fingerprint; pieces } when job.Job.scheme = Job.default_vm_scheme ->
       let capture () =
         Stackvm.Trace.capture ?fuel:job.Job.fuel ~want_snapshots:true program ~input:job.Job.input
       in
@@ -548,44 +523,7 @@ let compute_vm ?inject ?cache ?events ?(backend = `Compiled) ~id (job : Job.t) p
           bytes_before = report.Jwm.Embed.bytes_before;
           bytes_after = report.Jwm.Embed.bytes_after;
         }
-  | Job.Recognize { expected } ->
-      let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
-      let capture () =
-        Stackvm.Trace.save
-          (Stackvm.Trace.capture ~fuel ~want_snapshots:false ~backend program ~input:job.Job.input)
-      in
-      let trace_bytes =
-        timed ?events ~id ~stage:"trace" (fun () ->
-            match cache with
-            | Some c -> Cache.with_bytes ?events c ~stage:"trace" ~key:(Job.trace_digest job) capture
-            | None -> capture ())
-      in
-      let value =
-        timed ?events ~id ~stage:"recombine" (fun () ->
-            recognize_bits ?inject ?events ~id ~label:job.Job.label ~salt:(Job.trace_digest job)
-              ~key:job.Job.key ~bits:job.Job.bits trace_bytes)
-      in
-      Vm_recognized { value; matched = match_against expected value }
-  | Job.Attack_campaign { expected; attacks } ->
-      let rng = Util.Prng.create job.Job.seed in
-      let survived =
-        List.map
-          (fun name ->
-            match List.assoc_opt name Vmattacks.Attacks.all with
-            | None -> failwith ("unknown attack: " ^ name)
-            | Some attack ->
-                let attacked = attack (Util.Prng.split rng) program in
-                let alive =
-                  timed ?events ~id ~stage:("attack:" ^ name) (fun () ->
-                      Jwm.Recognize.recognizes ?fuel:job.Job.fuel ~passphrase:job.Job.key
-                        ~watermark_bits:job.Job.bits ~input:job.Job.input ~expected attacked)
-                in
-                (name, alive))
-          attacks
-      in
-      Vm_attacked { survived }
-  | Job.Audit _ | Job.Tournament_cell _ ->
-      assert false (* routed to [compute_vm_scheme] above *)
+  | _ -> compute_vm_scheme ?inject ?cache ?events ~backend ~id job program action
 
 let default_native_passes = 5
 

@@ -53,7 +53,7 @@ let dedup_row params _w _bits =
   in
   let run_bits = Stackvm.Trace.bitstring trace in
   let count dedup_overlaps =
-    List.length (Codec.Recombine.harvest ~dedup_overlaps params run_bits ~strides:[ 1; 2 ])
+    List.length (Codec.Recombine.harvest ~dedup_overlaps params run_bits ~strides:Codec.Harvest.default_strides)
   in
   let with_dedup = count true and without = count false in
   {

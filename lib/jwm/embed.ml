@@ -39,7 +39,7 @@ let choose_guard ~candidates ~fallback =
 let embed ?(seed = 0x1234_5678L) ?fuel ?trace ?(stealth = false) spec prog =
   let params = Codec.Params.make ~passphrase:spec.passphrase ~watermark_bits:spec.watermark_bits () in
   if not (Codec.Params.fits params spec.watermark) then
-    invalid_arg "Embed.embed: watermark does not fit the derived parameters";
+    invalid_arg "Embed.embed: watermark is negative or wider than watermark_bits";
   let rng = Util.Prng.create seed in
   let trace =
     match trace with

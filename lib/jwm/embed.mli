@@ -34,8 +34,8 @@ val embed :
   spec ->
   Stackvm.Program.t ->
   report
-(** Embed per [spec].  Raises [Invalid_argument] when the watermark does
-    not fit the derived parameters, and [Failure] when the program has no
+(** Embed per [spec].  Raises [Invalid_argument] when the watermark is
+    negative or wider than [watermark_bits] ({!Codec.Params.fits}), and [Failure] when the program has no
     traced insertion sites (it must execute at least one basic block on the
     secret input).  The result verifies ({!Stackvm.Verify.check}) and is
     semantically equivalent to the input program.

@@ -35,78 +35,20 @@ let outcome_of_report params ~trace_branches ~steps ~diagnostic report =
     diagnostic;
   }
 
-let recognize_branches ?(strides = [ 1; 2 ]) ~passphrase ~watermark_bits events =
-  let params = Codec.Params.make ~passphrase ~watermark_bits () in
-  let bits = Stackvm.Trace.bits_of_branches events in
-  let report = Codec.Recombine.recover_from_bitstring ~strides params bits in
-  outcome_of_report params ~trace_branches:(List.length events) ~steps:0 ~diagnostic:None report
+(* ---- one session for every mode ----
 
-let degraded params e =
-  (* a corrupt program that the execution backend itself rejects is an
-     experimental outcome (the mark is destroyed), not an error *)
-  let report = Codec.Recombine.recover params [] in
-  outcome_of_report params ~trace_branches:0 ~steps:0
-    ~diagnostic:(Some (Printexc.to_string e))
-    report
-
-let recognize ?(backend = `Compiled) ?(fuel = 200_000_000) ?(strides = [ 1; 2 ]) ~passphrase
-    ~watermark_bits ~input prog =
-  let params = Codec.Params.make ~passphrase ~watermark_bits () in
-  match backend with
-  | `Interp -> (
-      match Stackvm.Trace.capture ~fuel ~want_snapshots:false prog ~input with
-      | trace ->
-          let bits = Stackvm.Trace.bitstring trace in
-          let report = Codec.Recombine.recover_from_bitstring ~strides params bits in
-          outcome_of_report params
-            ~trace_branches:(Array.length trace.Stackvm.Trace.branches)
-            ~steps:trace.Stackvm.Trace.result.Stackvm.Interp.steps ~diagnostic:None report
-      | exception e -> degraded params e)
-  | `Compiled -> (
-      (* the hot path: compiled execution appending packed events straight
-         into a flat buffer, bits decoded off the buffer — no event records,
-         no observer, no per-event allocation *)
-      match
-        let code = Stackvm.Compile.of_program prog in
-        (* sized for real traces up front: repeated doubling from the
-           default capacity would cost more than the traced run itself *)
-        let events = Stackvm.Tracebuf.create ~capacity:65536 () in
-        let result = Stackvm.Compile.run ~trace:events ~fuel code ~input in
-        (events, result)
-      with
-      | events, result ->
-          let bits = Stackvm.Trace.bits_of_buf events in
-          let report = Codec.Recombine.recover_from_bitstring ~strides params bits in
-          outcome_of_report params
-            ~trace_branches:(Stackvm.Tracebuf.length events)
-            ~steps:result.Stackvm.Interp.steps ~diagnostic:None report
-      | exception e -> degraded params e)
-
-(* ---- streaming recognition ----
-
-   The push-based mode folds each branch event, as it happens, through the
-   incremental trace-bit decoder and into per-stride rolling cipher-block
-   windows; decoded statements accumulate exactly as the batch harvest
-   would produce them, and a periodic recombination probe lets the caller
+   Every recognition folds packed branch events, in trace order, through
+   the incremental trace-bit decoder into one {!Codec.Harvest}
+   accumulator; a periodic recombination probe lets a streaming caller
    stop the traced run as soon as the recovered value's redundancy margin
-   clears the confidence target.  With the probe disabled the final
-   statement list is byte-identical to {!Codec.Recombine.harvest}'s, so
-   [stream_finish] reproduces batch recognition exactly. *)
-
-type stride_state = {
-  stride : int;
-  chains : int array;  (* rolling window value per chain (pos mod stride) *)
-  last_seen : (int * int * int, int) Hashtbl.t;
-  mutable stmts : Codec.Statement.t list;  (* consed: head = newest *)
-  mutable count : int;
-}
+   clears the confidence target.  Batch recognition is the same session
+   with the probe off, so streaming and batch see the same statements in
+   the same order by construction. *)
 
 type stream = {
   params : Codec.Params.t;
   decoder : Stackvm.Trace.Decoder.t;
-  width : int;
-  states : stride_state array;  (* in the caller's stride order *)
-  mutable nbits : int;
+  harvest : Codec.Harvest.t;
   check_every : int;
   confidence_target : float;
   mutable since_check : int;
@@ -115,27 +57,11 @@ type stream = {
   mutable final_report : Codec.Recombine.report option;
 }
 
-let stream_start ?(strides = [ 1; 2 ]) ?(confidence_target = 0.9) ?(check_every = 4096)
-    ~passphrase ~watermark_bits () =
-  let params = Codec.Params.make ~passphrase ~watermark_bits () in
+let start ~confidence_target ~check_every params =
   {
     params;
     decoder = Stackvm.Trace.Decoder.create ();
-    width = params.Codec.Params.block_bits;
-    states =
-      Array.of_list
-        (List.map
-           (fun stride ->
-             if stride < 1 then invalid_arg "Recognize.stream_start: stride";
-             {
-               stride;
-               chains = Array.make stride 0;
-               last_seen = Hashtbl.create 64;
-               stmts = [];
-               count = 0;
-             })
-           strides);
-    nbits = 0;
+    harvest = Codec.Harvest.create params;
     check_every;
     confidence_target;
     since_check = 0;
@@ -144,13 +70,11 @@ let stream_start ?(strides = [ 1; 2 ]) ?(confidence_target = 0.9) ?(check_every 
     final_report = None;
   }
 
-(* The batch harvest walks stride 1 end to end, then stride 2, consing
-   onto one shared list; the equivalent canonical order from per-stride
-   lists is last stride first, each list newest-first as consed. *)
-let canonical s = Array.fold_left (fun acc st -> st.stmts @ acc) [] s.states
+let stream_start ?(confidence_target = 0.9) ?(check_every = 4096) ~passphrase ~watermark_bits () =
+  start ~confidence_target ~check_every (Codec.Params.make ~passphrase ~watermark_bits ())
 
 let probe s =
-  let report = Codec.Recombine.recover s.params (canonical s) in
+  let report = Codec.Recombine.recover s.params (Codec.Harvest.statements s.harvest) in
   if
     report.Codec.Recombine.value <> None
     && Codec.Recombine.confidence s.params report >= s.confidence_target
@@ -162,42 +86,18 @@ let probe s =
 let stream_push s packed =
   if s.decided then true
   else begin
-    let bit = Stackvm.Trace.Decoder.push s.decoder packed in
-    let n = s.nbits in
-    s.nbits <- n + 1;
-    let b = if bit then 1 else 0 in
-    let hi = s.width - 1 in
-    Array.iter
-      (fun st ->
-        let c = n mod st.stride in
-        let v = (Array.unsafe_get st.chains c lsr 1) lor (b lsl hi) in
-        Array.unsafe_set st.chains c v;
-        let pos = n - (hi * st.stride) in
-        if pos >= 0 then
-          match Codec.Statement.decode s.params v with
-          | Some stmt ->
-              let key = (stmt.Codec.Statement.i, stmt.Codec.Statement.j, stmt.Codec.Statement.x) in
-              let fresh =
-                match Hashtbl.find_opt st.last_seen key with
-                | Some prev -> pos - prev >= s.width * st.stride
-                | None -> true
-              in
-              Hashtbl.replace st.last_seen key pos;
-              if fresh then begin
-                st.stmts <- stmt :: st.stmts;
-                st.count <- st.count + 1
-              end
-          | None -> ())
-      s.states;
-    s.since_check <- s.since_check + 1;
-    if s.check_every > 0 && s.since_check >= s.check_every then begin
-      s.since_check <- 0;
-      let total = Array.fold_left (fun acc st -> acc + st.count) 0 s.states in
-      (* recombination is the expensive part: only probe when new evidence
-         arrived since the last probe *)
-      if total > s.stmts_at_check then begin
-        s.stmts_at_check <- total;
-        probe s
+    Codec.Harvest.push s.harvest (Stackvm.Trace.Decoder.push s.decoder packed);
+    if s.check_every > 0 then begin
+      s.since_check <- s.since_check + 1;
+      if s.since_check >= s.check_every then begin
+        s.since_check <- 0;
+        let total = Codec.Harvest.count s.harvest in
+        (* recombination is the expensive part: only probe when new evidence
+           arrived since the last probe *)
+        if total > s.stmts_at_check then begin
+          s.stmts_at_check <- total;
+          probe s
+        end
       end
     end;
     s.decided
@@ -208,32 +108,60 @@ let stream_push_event s ~fidx ~pc ~taken =
 
 let stream_decided s = s.decided
 
-let stream_finish s =
+let finish ~steps s =
   let report =
     match s.final_report with
     | Some r when s.decided -> r
-    | _ -> Codec.Recombine.recover s.params (canonical s)
+    | _ -> Codec.Recombine.recover s.params (Codec.Harvest.statements s.harvest)
   in
-  outcome_of_report s.params ~trace_branches:s.nbits ~steps:0 ~diagnostic:None report
+  outcome_of_report s.params ~trace_branches:(Codec.Harvest.length s.harvest) ~steps ~diagnostic:None
+    report
 
-let recognize_streaming ?(fuel = 200_000_000) ?strides ?confidence_target ?check_every
-    ~passphrase ~watermark_bits ~input prog =
-  let s =
-    stream_start ?strides ?confidence_target ?check_every ~passphrase ~watermark_bits ()
-  in
-  match
-    let code = Stackvm.Compile.of_program prog in
-    Stackvm.Compile.run_streaming ~fuel code ~input ~push:(fun e -> stream_push s e)
-  with
-  | `Completed result ->
-      let o = stream_finish s in
-      ({ o with steps = result.Stackvm.Interp.steps }, `Completed)
-  | `Stopped steps ->
-      let o = stream_finish s in
-      ({ o with steps }, `Stopped_early)
-  | exception e ->
-      let params = Codec.Params.make ~passphrase ~watermark_bits () in
-      (degraded params e, `Completed)
+let stream_finish s = finish ~steps:0 s
+
+(* batch recognition: the session with the probe off *)
+let batch params = start ~confidence_target:infinity ~check_every:0 params
+
+let recognize_branches ~passphrase ~watermark_bits events =
+  let s = batch (Codec.Params.make ~passphrase ~watermark_bits ()) in
+  List.iter (fun { Stackvm.Trace.fidx; pc; taken } -> ignore (stream_push_event s ~fidx ~pc ~taken)) events;
+  stream_finish s
+
+let degraded params e =
+  (* a corrupt program that the execution backend itself rejects is an
+     experimental outcome (the mark is destroyed), not an error *)
+  let report = Codec.Recombine.recover params [] in
+  outcome_of_report params ~trace_branches:0 ~steps:0
+    ~diagnostic:(Some (Printexc.to_string e))
+    report
+
+(* Run [prog] with every branch event pushed into [s] as it happens: the
+   compiled hot path materializes no trace at all. *)
+let run_session ~backend ~fuel s prog ~input =
+  match backend with
+  | `Interp -> (
+      match Stackvm.Trace.capture ~fuel ~want_snapshots:false prog ~input with
+      | trace ->
+          Stackvm.Tracebuf.iter (fun e -> ignore (stream_push s e)) trace.Stackvm.Trace.events;
+          (finish ~steps:trace.Stackvm.Trace.result.Stackvm.Interp.steps s, `Completed)
+      | exception e -> (degraded s.params e, `Completed))
+  | `Compiled -> (
+      match
+        Stackvm.Compile.run_streaming ~fuel (Stackvm.Compile.of_program prog) ~input
+          ~push:(stream_push s)
+      with
+      | `Completed result -> (finish ~steps:result.Stackvm.Interp.steps s, `Completed)
+      | `Stopped steps -> (finish ~steps s, `Stopped_early)
+      | exception e -> (degraded s.params e, `Completed))
+
+let recognize ?(backend = `Compiled) ?(fuel = 200_000_000) ~passphrase ~watermark_bits ~input prog =
+  fst (run_session ~backend ~fuel (batch (Codec.Params.make ~passphrase ~watermark_bits ())) prog ~input)
+
+let recognize_streaming ?(fuel = 200_000_000) ?confidence_target ?check_every ~passphrase
+    ~watermark_bits ~input prog =
+  run_session ~backend:`Compiled ~fuel
+    (stream_start ?confidence_target ?check_every ~passphrase ~watermark_bits ())
+    prog ~input
 
 let recognizes ?fuel ~passphrase ~watermark_bits ~input ~expected prog =
   match (recognize ?fuel ~passphrase ~watermark_bits ~input prog).value with

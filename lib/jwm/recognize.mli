@@ -1,8 +1,9 @@
 (** The recognition phase (Section 3.3) — dynamic, blind fingerprinting.
 
     Recognition re-runs the (possibly attacked) program on the secret
-    input, decodes the trace into its bit-string, harvests candidate cipher
-    blocks at strides 1 and 2, and recombines the watermark.  Only the
+    input, decodes each branch event into its trace bit, harvests candidate
+    cipher blocks at {!Codec.Harvest.default_strides}, and recombines the
+    watermark.  Only the
     program, the passphrase and the secret input are needed — never the
     original program or the expected watermark.
 
@@ -34,7 +35,6 @@ type outcome = {
 val recognize :
   ?backend:[ `Interp | `Compiled ] ->
   ?fuel:int ->
-  ?strides:int list ->
   passphrase:string ->
   watermark_bits:int ->
   input:int list ->
@@ -46,14 +46,14 @@ val recognize :
     experimental outcome, not an exception).
 
     [backend] (default [`Compiled]) selects the execution engine for the
-    recognition run.  [`Compiled] traces through {!Stackvm.Compile} into a
-    flat packed buffer — observationally identical bits, an order of
-    magnitude faster; [`Interp] is the reference interpreter path.  The
+    recognition run.  [`Compiled] runs {!Stackvm.Compile} and folds each
+    packed branch event into the harvest as it happens, materializing no
+    trace — observationally identical bits, an order of magnitude faster;
+    [`Interp] is the reference interpreter path.  The
     qcheck backend-equivalence suite holds the two to identical
     outcomes. *)
 
 val recognize_branches :
-  ?strides:int list ->
   passphrase:string ->
   watermark_bits:int ->
   Stackvm.Trace.branch_event list ->
@@ -75,30 +75,27 @@ val recognizes :
 (** {2 Streaming recognition}
 
     The push-based mode: branch events are folded, one at a time, through
-    the incremental trace-bit decoder and per-stride rolling cipher-block
-    windows into CRT residue statements, with a periodic recombination
-    probe that declares the mark recovered as soon as its redundancy
-    margin clears the confidence target — so long-running or
-    service-streamed workloads never materialize a trace, and a decided
-    run can stop early. *)
+    the incremental trace-bit decoder into the {!Codec.Harvest}
+    accumulator, with a periodic recombination probe that declares the
+    mark recovered as soon as its redundancy margin clears the confidence
+    target — so long-running or service-streamed workloads never
+    materialize a trace, and a decided run can stop early.  The batch
+    entry points above are this session with the probe off. *)
 
 type stream
 
 val stream_start :
-  ?strides:int list ->
   ?confidence_target:float ->
   ?check_every:int ->
   passphrase:string ->
   watermark_bits:int ->
   unit ->
   stream
-(** [strides] defaults to [[1; 2]] (the batch recognizer's).
-    [confidence_target] (default [0.9]) is the {!Codec.Recombine.confidence}
+(** [confidence_target] (default [0.9]) is the {!Codec.Recombine.confidence}
     a probed recovery must reach to decide; pass a value above [1.0] to
     never decide early.  [check_every] (default [4096]) is the probe
     period in events; [0] disables probing entirely, in which case
-    {!stream_finish} is exactly batch recognition over the pushed events
-    (same statements, same order — a qcheck property holds it to that). *)
+    {!stream_finish} is exactly batch recognition over the pushed events. *)
 
 val stream_push : stream -> int -> bool
 (** Feed one packed branch event ({!Stackvm.Tracebuf.pack}).  Returns
@@ -117,7 +114,6 @@ val stream_finish : stream -> outcome
 
 val recognize_streaming :
   ?fuel:int ->
-  ?strides:int list ->
   ?confidence_target:float ->
   ?check_every:int ->
   passphrase:string ->

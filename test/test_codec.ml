@@ -352,12 +352,117 @@ let test_bit_corruption_never_wrong () =
       | None -> () (* losing the mark under heavy corruption is acceptable *))
     [ 0.0; 0.005; 0.02; 0.05; 0.15; 0.4 ]
 
+(* A recombined value wider than the declared mark can only come from
+   stray statements: the same statements recover it under a wider
+   declaration over the same primes, but never under the narrow one. *)
+let test_recover_refuses_out_of_width () =
+  let wide = Params.make ~prime_bits:12 ~passphrase:"test-key" ~watermark_bits:66 () in
+  Alcotest.(check (array int)) "same primes" params_small.Params.primes wide.Params.primes;
+  let w = Bignum.add (Bignum.pow Bignum.two 64) (Bignum.of_int 12345) in
+  Alcotest.(check bool) "outside the narrow width" false (Params.fits params_small w);
+  let stmts = Statement.all_of_watermark wide w in
+  Alcotest.(check (option big)) "wide declaration recovers it" (Some w) (Recombine.recover_value wide stmts);
+  let report = Recombine.recover params_small stmts in
+  Alcotest.(check bool) "statements cover every prime" true report.Recombine.covered;
+  Alcotest.(check (option big)) "narrow declaration refuses it" None report.Recombine.value
+
 let edge_suite =
   [
     ("params rejects bad args", `Quick, test_params_rejects_bad_args);
     ("statement rejects bad pairs", `Quick, test_statement_rejects_bad_pairs);
     ("recover on empty/tiny input", `Quick, test_recover_empty_and_tiny);
     ("bit corruption never yields a wrong mark", `Quick, test_bit_corruption_never_wrong);
+    ("recover refuses out-of-width values", `Quick, test_recover_refuses_out_of_width);
   ]
 
-let suite = suite @ edge_suite
+(* ---- the harvester against an independent window-by-window oracle ---- *)
+
+(* The harvest as the paper states it: for each stride, read the window at
+   every position, decrypt, keep valid statements that do not overlap the
+   previous occurrence of the same statement (when deduplicating). *)
+let reference_harvest ~dedup params bits ~strides =
+  let width = params.Params.block_bits in
+  let out = ref [] in
+  List.iter
+    (fun stride ->
+      let last = Hashtbl.create 16 in
+      let rec go pos =
+        match Util.Bitstring.window bits ~pos ~stride ~width with
+        | None -> ()
+        | Some block ->
+            (match Statement.decode params block with
+            | Some s ->
+                let fresh =
+                  (not dedup)
+                  || match Hashtbl.find_opt last s with Some p -> pos - p >= width * stride | None -> true
+                in
+                Hashtbl.replace last s pos;
+                if fresh then out := s :: !out
+            | None -> ());
+            go (pos + 1)
+      in
+      go 0)
+    strides;
+  !out
+
+(* 18-bit blocks over two 8-bit primes: about one random window in four
+   decodes, so constant runs and repeats exercise the overlap dedup *)
+let params_dense = Params.make ~prime_bits:8 ~block_bits:18 ~passphrase:"oracle" ~watermark_bits:14 ()
+
+(* Random filler with planted encoded statements (contiguous or
+   interleaved with a constant bit), constant runs and repeated plants. *)
+let oracle_bits params rng =
+  let bits = Util.Bitstring.create () in
+  let w = Bignum.random_bits rng (params.Params.watermark_bits - 1) in
+  let stmts = Array.of_list (Statement.all_of_watermark params w) in
+  let target = Util.Prng.int rng 700 in
+  while Util.Bitstring.length bits < target do
+    match Util.Prng.int rng 4 with
+    | 0 -> for _ = 1 to Util.Prng.int_in rng 1 40 do Util.Bitstring.append bits (Util.Prng.bool rng) done
+    | 1 ->
+        let b = Util.Prng.bool rng in
+        for _ = 1 to Util.Prng.int_in rng 1 80 do Util.Bitstring.append bits b done
+    | 2 ->
+        let planted = Statement.bits params (Util.Prng.pick rng stmts) in
+        for _ = 1 to Util.Prng.int_in rng 1 3 do List.iter (Util.Bitstring.append bits) planted done
+    | _ ->
+        List.iter
+          (fun b ->
+            Util.Bitstring.append bits false;
+            Util.Bitstring.append bits b)
+          (Statement.bits params (Util.Prng.pick rng stmts))
+  done;
+  bits
+
+let qcheck_harvest_matches_oracle =
+  QCheck.Test.make ~name:"harvest equals the window-by-window oracle" ~count:200 QCheck.small_nat
+    (fun seed ->
+      let rng = Util.Prng.create (Int64.of_int (seed + 9000)) in
+      let params = if Util.Prng.bool rng then params_dense else params_small in
+      let bits = oracle_bits params rng in
+      List.for_all
+        (fun strides ->
+          List.for_all
+            (fun dedup ->
+              List.equal Statement.equal
+                (Recombine.harvest ~dedup_overlaps:dedup params bits ~strides)
+                (reference_harvest ~dedup params bits ~strides))
+            [ true; false ])
+        [ [ 1 ]; [ 1; 2 ]; [ 1; 2; 3 ] ])
+
+let test_harvest_short_strings () =
+  (* shorter than one block: no window completes, at any stride *)
+  List.iter
+    (fun n ->
+      let bits = Util.Bitstring.of_bool_list (List.init n (fun k -> k mod 3 = 0)) in
+      Alcotest.(check int) (Printf.sprintf "%d bits" n) 0
+        (List.length (Recombine.harvest params_dense bits ~strides:[ 1; 2; 3 ])))
+    [ 0; 1; 17 ]
+
+let oracle_suite =
+  [
+    QCheck_alcotest.to_alcotest qcheck_harvest_matches_oracle;
+    ("harvest of strings shorter than a block", `Quick, test_harvest_short_strings);
+  ]
+
+let suite = suite @ edge_suite @ oracle_suite

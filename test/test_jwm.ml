@@ -384,4 +384,21 @@ let test_compound_condition_snippet () =
   | Some _ -> ()
   | None -> Alcotest.fail "compound-condition payload not found"
 
-let suite = suite @ [ ("compound condition predicates", `Quick, test_compound_condition_snippet) ]
+(* the WATERMARKER contract: a value wider than the declared width is
+   rejected up front, even when the derived primes could carry it *)
+let test_embed_rejects_out_of_width () =
+  let w = Bignum.pow Bignum.two 16 in
+  let params = Codec.Params.make ~passphrase:"the secret watermark key" ~watermark_bits:16 () in
+  Alcotest.(check bool) "below the prime capacity" true
+    (Bignum.compare w (Codec.Params.capacity params) < 0);
+  Alcotest.(check bool) "raises Invalid_argument" true
+    (match Jwm.Embed.embed (spec ~bits:16 w) host_program with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let suite =
+  suite
+  @ [
+      ("compound condition predicates", `Quick, test_compound_condition_snippet);
+      ("embed rejects out-of-width values", `Quick, test_embed_rejects_out_of_width);
+    ]
