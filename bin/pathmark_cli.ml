@@ -116,7 +116,7 @@ let resolve_scheme name =
   match Scheme.Builtin.find name with
   | Some w -> w
   | None ->
-      Printf.eprintf "unknown scheme %s; registered: %s (compose same-track schemes with '+')\n" name
+      Printf.eprintf "unknown scheme %s; registered: %s (compose VM-track schemes with '+')\n" name
         (String.concat " " (Scheme.Builtin.names ()));
       exit exit_unknown_scheme
 
@@ -191,76 +191,6 @@ let print_partial (o : Jwm.Recognize.outcome) =
 (* ---- VM track ---- *)
 
 let load_vm path = Stackvm.Serialize.decode (read_file path)
-
-let embed_vm source key mark bits pieces input out seed =
-  let prog = Minic.To_stackvm.compile_source (read_file source) in
-  let watermarked =
-    Pathmark.watermark_vm ~seed:(Int64.of_int seed) ~key ~watermark:mark ~bits ~pieces ~input prog
-  in
-  write_file out (Stackvm.Serialize.encode watermarked);
-  Printf.printf "embedded %d-bit watermark (%d pieces) into %s -> %s (%d -> %d bytes)\n" bits pieces
-    source out
-    (Stackvm.Serialize.size_in_bytes prog)
-    (Stackvm.Serialize.size_in_bytes watermarked)
-
-let embed_vm_cmd =
-  let source = Arg.(required & pos 0 (some file) None & info [] ~docv:"SOURCE.mc" ~doc:"MiniC source file.") in
-  let pieces = Arg.(value & opt int 40 & info [ "pieces" ] ~doc:"Number of redundant pieces.") in
-  Cmd.v
-    (Cmd.info "embed-vm" ~doc:"Compile a MiniC program and embed a bytecode-track watermark.")
-    Term.(const embed_vm $ source $ key_t $ mark_t $ bits_t $ pieces $ input_t $ out_t $ seed_t)
-
-let recognize_vm path key bits input backend streaming inject fault_seed =
-  let plan = plan_of inject fault_seed in
-  let bytes = read_file path in
-  let bytes, artifact_faults =
-    if Fault.Inject.is_empty plan then (bytes, 0)
-    else Fault.Inject.artifact plan ~salt:("artifact:" ^ Filename.basename path) bytes
-  in
-  match Stackvm.Serialize.decode_opt bytes with
-  | None ->
-      Printf.printf "program undecodable after %d artifact fault(s); nothing recovered\n" artifact_faults;
-      exit exit_fault_abort
-  | Some prog ->
-      let o =
-        if not (Fault.Inject.is_empty plan) then begin
-          (* recognize offline from the fault-injected branch stream *)
-          let trace =
-            Stackvm.Trace.capture ~fuel:200_000_000 ~want_snapshots:false ~backend prog ~input
-          in
-          let noisy, n = Fault.Inject.branches_buf plan ~salt:"trace" trace.Stackvm.Trace.events in
-          if artifact_faults > 0 || n > 0 then
-            Printf.printf "injected %d artifact fault(s), %d trace fault(s) [%s]\n" artifact_faults n
-              (Fault.Inject.describe plan);
-          Jwm.Recognize.recognize_branches ~passphrase:key ~watermark_bits:bits
-            (Array.to_list (Stackvm.Trace.branches_of_buf noisy))
-        end
-        else if streaming then begin
-          let o, halt =
-            Jwm.Recognize.recognize_streaming ~passphrase:key ~watermark_bits:bits ~input prog
-          in
-          (match halt with
-          | `Stopped_early ->
-              Printf.printf "decided early: run stopped after %d steps\n" o.Jwm.Recognize.steps
-          | `Completed -> ());
-          o
-        end
-        else Jwm.Recognize.recognize ~backend ~passphrase:key ~watermark_bits:bits ~input prog
-      in
-      print_partial o;
-      (match o.Jwm.Recognize.value with
-      | Some w -> Printf.printf "fingerprint: %s\n" (Bignum.to_string w)
-      | None ->
-          Printf.printf "no watermark recovered\n";
-          exit exit_recognition_failed)
-
-let recognize_vm_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Serialized VM program.") in
-  Cmd.v
-    (Cmd.info "recognize-vm" ~doc:"Recognize a bytecode-track watermark (blind).")
-    Term.(
-      const recognize_vm $ path $ key_t $ bits_t $ input_t $ backend_t $ streaming_t $ inject_t
-      $ fault_seed_t)
 
 let run_vm path input backend =
   let prog = load_vm path in
@@ -384,7 +314,7 @@ let schemes () =
       Printf.printf "     stealth: %s\n" c.Scheme.Watermarker.stealth;
       Printf.printf "     attacks: %s\n" c.Scheme.Watermarker.attack_surface)
     (Scheme.Builtin.all ());
-  Printf.printf "compose same-track schemes with '+', e.g. --scheme jwm+gwm\n"
+  Printf.printf "compose VM-track schemes with '+', e.g. --scheme jwm+gwm\n"
 
 let schemes_cmd =
   Cmd.v
@@ -517,41 +447,6 @@ let recognize_cmd =
       $ backend_t $ streaming_t $ inject_t $ fault_seed_t)
 
 (* ---- native track ---- *)
-
-let embed_native source mark bits input out seed =
-  let prog = Minic.To_native.compile_source (read_file source) in
-  let report =
-    Pathmark.watermark_native ~seed:(Int64.of_int seed) ~watermark:mark ~bits ~training_input:input prog
-  in
-  write_file out (Nativesim.Binary.encode report.Nwm.Embed.binary);
-  Printf.printf "embedded %d-bit watermark into %s -> %s\n" bits source out;
-  Printf.printf "begin=0x%x end=0x%x tamper_cells=%d size %d -> %d bytes\n" report.Nwm.Embed.begin_addr
-    report.Nwm.Embed.end_addr report.Nwm.Embed.tamper_cells report.Nwm.Embed.bytes_before
-    report.Nwm.Embed.bytes_after
-
-let embed_native_cmd =
-  let source = Arg.(required & pos 0 (some file) None & info [] ~docv:"SOURCE.mc" ~doc:"MiniC source file.") in
-  Cmd.v
-    (Cmd.info "embed-native" ~doc:"Compile a MiniC program and embed a branch-function watermark.")
-    Term.(const embed_native $ source $ mark_t $ bits_t $ input_t $ out_t $ seed_t)
-
-let extract_native path begin_addr end_addr input tracer =
-  let bin = Nativesim.Binary.decode (read_file path) in
-  let kind = if tracer = "simple" then Nwm.Extract.Simple else Nwm.Extract.Smart in
-  match Pathmark.extract_native ~kind bin ~begin_addr ~end_addr ~input with
-  | Some w -> Printf.printf "fingerprint: %s\n" (Bignum.to_string w)
-  | None ->
-      Printf.printf "no watermark extracted\n";
-      exit exit_recognition_failed
-
-let extract_native_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY" ~doc:"Native binary file.") in
-  let begin_addr = Arg.(required & opt (some int) None & info [ "begin" ] ~docv:"ADDR" ~doc:"Watermark region start.") in
-  let end_addr = Arg.(required & opt (some int) None & info [ "end" ] ~docv:"ADDR" ~doc:"Watermark region end.") in
-  let tracer = Arg.(value & opt string "smart" & info [ "tracer" ] ~docv:"simple|smart" ~doc:"Tracer kind.") in
-  Cmd.v
-    (Cmd.info "extract-native" ~doc:"Extract a branch-function watermark by single-stepping.")
-    Term.(const extract_native $ path $ begin_addr $ end_addr $ input_t $ tracer)
 
 let run_native path input =
   let bin = Nativesim.Binary.decode (read_file path) in
@@ -1679,16 +1574,12 @@ let main =
       schemes_cmd;
       embed_cmd;
       recognize_cmd;
-      embed_vm_cmd;
-      recognize_vm_cmd;
       run_vm_cmd;
       trace_vm_cmd;
       recognize_trace_cmd;
       attack_vm_cmd;
       list_attacks_cmd;
       faults_cmd;
-      embed_native_cmd;
-      extract_native_cmd;
       run_native_cmd;
       disasm_cmd;
       analyze_cmd;

@@ -14,7 +14,7 @@ let () =
   let reference = workload.Workloads.Workload.input in
   let fingerprint = Bignum.of_string "17361641481138401520" in
 
-  let report = watermark_native ~watermark:fingerprint ~bits:64 ~training_input:training program in
+  let report = Nwm.Embed.embed ~watermark:fingerprint ~bits:64 ~training_input:training program in
   let wm = report.Nwm.Embed.binary in
   Printf.printf "workload: %s; %d-bit watermark, %d tamper-proofed jumps, %d -> %d bytes\n"
     workload.Workloads.Workload.name report.Nwm.Embed.bits report.Nwm.Embed.tamper_cells
@@ -22,8 +22,12 @@ let () =
 
   (* extraction on the clean watermarked binary *)
   let extract ?kind bin =
-    extract_native ?kind bin ~begin_addr:report.Nwm.Embed.begin_addr
-      ~end_addr:report.Nwm.Embed.end_addr ~input:training
+    match
+      Nwm.Extract.extract ?kind bin ~begin_addr:report.Nwm.Embed.begin_addr
+        ~end_addr:report.Nwm.Embed.end_addr ~input:training
+    with
+    | Ok ex -> Some (Nwm.Extract.watermark ex)
+    | Error _ -> None
   in
   (match extract wm with
   | Some w -> Printf.printf "extracted fingerprint: %s\n\n" (Bignum.to_string w)

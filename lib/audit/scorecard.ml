@@ -89,15 +89,13 @@ let run ?(domains = 1) ?seed ?(bits = default_bits) ?(fingerprint = default_fing
         List.map
           (fun (w : Workloads.Workload.t) ->
             let label = Printf.sprintf "audit:%s:%s" name w.Workloads.Workload.name in
-            match caps.Scheme.Watermarker.track with
-            | Scheme.Watermarker.Vm ->
-                Engine.Job.vm_audit ~label ?seed ~scheme:name ~key ~bits ~fingerprint
-                  ~input:w.Workloads.Workload.input
-                  (Workloads.Workload.vm_program w)
-            | Scheme.Watermarker.Native ->
-                Engine.Job.native_audit ~label ?seed ~bits ~fingerprint
-                  ~input:w.Workloads.Workload.input
-                  (Workloads.Workload.native_program w))
+            let host =
+              match caps.Scheme.Watermarker.track with
+              | Scheme.Watermarker.Vm -> Engine.Job.Vm (Workloads.Workload.vm_program w)
+              | Scheme.Watermarker.Native -> Engine.Job.Native (Workloads.Workload.native_program w)
+            in
+            Engine.Job.audit ~label ?seed ~scheme:name ~key ~bits ~fingerprint
+              ~input:w.Workloads.Workload.input host)
           workloads)
       resolved
   in
@@ -191,45 +189,31 @@ let render t =
       t.violations;
   Buffer.contents buf
 
-(* minimal JSON writer (no JSON library in the toolchain) *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Util.Json
 
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
-let json_list items = "[" ^ String.concat "," items ^ "]"
-let json_strs l = json_list (List.map json_str l)
+let json_strs l = J.list (List.map J.str l)
 
 let to_json t =
   let cell c =
     Printf.sprintf
       "{\"workload\":%s,\"passes\":%s,\"marked\":%s,\"flagged\":%s,\"hits\":%s,\"false_positives\":%s,\"ndiags\":%d,\"hit_rate\":%.4f,\"ms\":%.3f%s}"
-      (json_str c.workload) (json_strs c.passes) (json_strs c.marked) (json_strs c.flagged)
+      (J.str c.workload) (json_strs c.passes) (json_strs c.marked) (json_strs c.flagged)
       (json_strs c.hits) (json_strs c.false_positives) c.ndiags c.hit_rate c.ms
-      (match c.failed with None -> "" | Some r -> ",\"failed\":" ^ json_str r)
+      (match c.failed with None -> "" | Some r -> ",\"failed\":" ^ J.str r)
   in
   let row r =
     Printf.sprintf
       "{\"scheme\":%s,\"track\":%s,\"declared\":%.4f,\"observed\":%.4f,\"cells\":%s}"
-      (json_str r.scheme)
-      (json_str (Scheme.Watermarker.track_to_string r.track))
+      (J.str r.scheme)
+      (J.str (Scheme.Watermarker.track_to_string r.track))
       r.declared r.observed
-      (json_list (List.map cell r.cells))
+      (J.list (List.map cell r.cells))
   in
   let violation v =
-    Printf.sprintf "{\"scheme\":%s,\"workload\":%s,\"reason\":%s}" (json_str v.v_scheme)
-      (json_str v.v_workload) (json_str v.v_reason)
+    Printf.sprintf "{\"scheme\":%s,\"workload\":%s,\"reason\":%s}" (J.str v.v_scheme)
+      (J.str v.v_workload) (J.str v.v_reason)
   in
   Printf.sprintf "{\"rows\":%s,\"violations\":%s,\"gate_ok\":%b}"
-    (json_list (List.map row t.rows))
-    (json_list (List.map violation t.violations))
+    (J.list (List.map row t.rows))
+    (J.list (List.map violation t.violations))
     (gate_ok t)

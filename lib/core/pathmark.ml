@@ -32,14 +32,6 @@ let recognize_vm ?backend ?fuel ~key ~bits ~input prog =
   (Jwm.Recognize.recognize ?backend ?fuel ~passphrase:key ~watermark_bits:bits ~input prog)
     .Jwm.Recognize.value
 
-let watermark_native ?seed ?tamper_proof ~watermark ~bits ~training_input prog =
-  Nwm.Embed.embed ?seed ?tamper_proof ~watermark ~bits ~training_input prog
-
-let extract_native ?kind bin ~begin_addr ~end_addr ~input =
-  match Nwm.Extract.extract ?kind bin ~begin_addr ~end_addr ~input with
-  | Ok ex -> Some (Nwm.Extract.watermark ex)
-  | Error _ -> None
-
 let batch_seed base index = Int64.add base (Int64.mul (Int64.of_int (index + 1)) 0x9E37_79B9_7F4A_7C15L)
 
 let watermark_batch ?(seed = 0x1234_5678L) ?(domains = 1) ?cache ?events ~key ~bits ~pieces ~input

@@ -1,14 +1,16 @@
 (** Pathmark: dynamic path-based software watermarking.
 
-    The umbrella API of the library, re-exporting every subsystem plus
-    high-level one-call wrappers for the two pipelines of the paper:
+    The umbrella API of the library, re-exporting every subsystem for the
+    two pipelines of the paper:
 
     - the {b bytecode track} (§3): split the fingerprint into encrypted CRT
       pieces and embed them in the dynamic branch behaviour of a stack-VM
-      program; recognition is blind and error-correcting;
+      program; recognition is blind and error-correcting.  The one-call
+      wrappers below drive this track;
     - the {b native track} (§4): encode the fingerprint in the address
       order of branch-function call sites, protected by perfect-hash
-      dispatch and tamper-proofed indirect jumps.
+      dispatch and tamper-proofed indirect jumps ({!Nwm.Embed.embed} and
+      {!Nwm.Extract.extract}).
 
     See DESIGN.md for the system inventory and EXPERIMENTS.md for the
     reproduction of the paper's evaluation. *)
@@ -99,25 +101,3 @@ val watermark_batch :
     With a [cache], the host trace is captured once and shared by every
     job, and finished jobs are memoized by content digest.  Raises
     [Failure] if any job fails. *)
-
-(** {1 Native track} *)
-
-val watermark_native :
-  ?seed:int64 ->
-  ?tamper_proof:bool ->
-  watermark:Bignum.t ->
-  bits:int ->
-  training_input:int list ->
-  Nativesim.Asm.program ->
-  Nwm.Embed.report
-(** Embed into rewriter-level assembly; the report carries the
-    [begin]/[end] addresses extraction needs. *)
-
-val extract_native :
-  ?kind:Nwm.Extract.kind ->
-  Nativesim.Binary.t ->
-  begin_addr:int ->
-  end_addr:int ->
-  input:int list ->
-  Bignum.t option
-(** Single-step extraction with the smart tracer by default. *)

@@ -9,7 +9,6 @@ type outcome =
       bytes_before : int;
       bytes_after : int;
     }
-  | Native_extracted of { value : Bignum.t option; matched : bool option }
   | Audited of {
       passes : string list;
       marked_fns : string list;
@@ -32,7 +31,7 @@ type result = { job : Job.t; outcome : outcome; ms : float; attempts : int; from
 let ok r =
   match r.outcome with
   | Failed _ -> false
-  | Vm_recognized { value; matched } | Native_extracted { value; matched } ->
+  | Vm_recognized { value; matched } ->
       value <> None && matched <> Some false
   | Vm_attacked { survived } -> List.for_all snd survived
   | Vm_embedded _ | Native_embedded _ -> true
@@ -44,7 +43,7 @@ let ok r =
 let describe_outcome = function
   | Vm_embedded { bytes_before; bytes_after; _ } ->
       Printf.sprintf "embedded (%d -> %d bytes)" bytes_before bytes_after
-  | Vm_recognized { value; matched } | Native_extracted { value; matched } -> (
+  | Vm_recognized { value; matched } -> (
       match (value, matched) with
       | None, _ -> "no watermark recovered"
       | Some w, Some true -> Printf.sprintf "recognized %s (match)" (Bignum.to_string w)
@@ -130,10 +129,6 @@ let encode_outcome o =
       add_varint buf end_addr;
       add_varint buf bytes_before;
       add_varint buf bytes_after
-  | Native_extracted { value; matched } ->
-      Buffer.add_char buf 'X';
-      add_opt buf add_big value;
-      add_opt buf add_bool matched
   | Audited { passes; marked_fns; flagged_fns; clean_flagged; ndiags } ->
       Buffer.add_char buf 'U';
       let add_list l =
@@ -219,10 +214,6 @@ let decode_outcome s =
             let bytes_before = varint () in
             let bytes_after = varint () in
             Native_embedded { binary; begin_addr; end_addr; bytes_before; bytes_after }
-        | 'X' ->
-            let value = opt big in
-            let matched = opt boolean in
-            Native_extracted { value; matched }
         | 'U' ->
             let lst () = List.init (varint ()) (fun _ -> str ()) in
             let passes = lst () in
@@ -286,27 +277,28 @@ let scheme_spec (job : Job.t) ~redundancy =
     redundancy;
   }
 
-let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : Job.t) program action =
+let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : Job.t) program =
   let (module W) = Scheme.Builtin.find_exn job.Job.scheme in
   if W.caps.Scheme.Watermarker.track <> Scheme.Watermarker.Vm then
     failwith (Printf.sprintf "scheme %s cannot run on the VM track" job.Job.scheme);
-  match (action : Job.vm_action) with
+  let embed fingerprint spec =
+    let e =
+      timed ?events ~id ~stage:"embed" (fun () ->
+          W.embed fingerprint spec (Scheme.Watermarker.Vm_program program))
+    in
+    match e.Scheme.Watermarker.carrier with
+    | Scheme.Watermarker.Vm_program marked -> (marked, e)
+    | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme)
+  in
+  match job.Job.action with
   | Job.Embed { fingerprint; pieces } ->
-      let e =
-        timed ?events ~id ~stage:"embed" (fun () ->
-            W.embed fingerprint
-              (scheme_spec job ~redundancy:pieces)
-              (Scheme.Watermarker.Vm_program program))
-      in
-      (match e.Scheme.Watermarker.carrier with
-      | Scheme.Watermarker.Vm_program marked ->
-          Vm_embedded
-            {
-              program = Stackvm.Serialize.encode marked;
-              bytes_before = e.Scheme.Watermarker.bytes_before;
-              bytes_after = e.Scheme.Watermarker.bytes_after;
-            }
-      | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme))
+      let marked, e = embed fingerprint (scheme_spec job ~redundancy:pieces) in
+      Vm_embedded
+        {
+          program = Stackvm.Serialize.encode marked;
+          bytes_before = e.Scheme.Watermarker.bytes_before;
+          bytes_after = e.Scheme.Watermarker.bytes_after;
+        }
   | Job.Recognize { expected } ->
       let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
       let r =
@@ -381,16 +373,7 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
          unattacked — anything recovered that matches the fingerprint is a
          false positive *)
       let target =
-        if cell.Job.cell_control then program
-        else begin
-          let e =
-            timed ?events ~id ~stage:"embed" (fun () ->
-                W.embed fingerprint spec (Scheme.Watermarker.Vm_program program))
-          in
-          match e.Scheme.Watermarker.carrier with
-          | Scheme.Watermarker.Vm_program p -> p
-          | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme)
-        end
+        if cell.Job.cell_control then program else fst (embed fingerprint spec)
       in
       let attacked =
         if cell.Job.cell_control || cell.Job.cell_attack = "identity" then target
@@ -447,15 +430,8 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
           nfaults;
         }
   | Job.Audit { fingerprint } ->
-      let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
-      let e =
-        timed ?events ~id ~stage:"embed" (fun () ->
-            W.embed fingerprint spec (Scheme.Watermarker.Vm_program program))
-      in
-      let marked =
-        match e.Scheme.Watermarker.carrier with
-        | Scheme.Watermarker.Vm_program p -> p
-        | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme)
+      let marked, _ =
+        embed fingerprint (scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy)
       in
       let passes =
         match
@@ -492,8 +468,8 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
           ndiags = List.length report.Analysis.Locator.diags;
         }
 
-let compute_vm ?inject ?cache ?events ?(backend = `Compiled) ~id (job : Job.t) program action =
-  match (action : Job.vm_action) with
+let compute_vm ?inject ?cache ?events ?(backend = `Compiled) ~id (job : Job.t) program =
+  match job.Job.action with
   | Job.Embed { fingerprint; pieces } when job.Job.scheme = Job.default_vm_scheme ->
       let capture () =
         Stackvm.Trace.capture ?fuel:job.Job.fuel ~want_snapshots:true program ~input:job.Job.input
@@ -523,7 +499,7 @@ let compute_vm ?inject ?cache ?events ?(backend = `Compiled) ~id (job : Job.t) p
           bytes_before = report.Jwm.Embed.bytes_before;
           bytes_after = report.Jwm.Embed.bytes_after;
         }
-  | _ -> compute_vm_scheme ?inject ?cache ?events ~backend ~id job program action
+  | _ -> compute_vm_scheme ?inject ?cache ?events ~backend ~id job program
 
 let default_native_passes = 5
 
@@ -531,7 +507,7 @@ let default_native_passes = 5
    whose observations [plan] garbles: several independently-garbled views
    of one deterministic observation log, majority-voted.  Returns the
    recovered value with the extractor's confidence in it. *)
-let native_extract_value ?events ~id ~label ~salt ~plan binary ~begin_addr ~end_addr ~input =
+let nwm_extract_value ?events ~id ~label ~salt ~plan binary ~begin_addr ~end_addr ~input =
   match plan with
   | None -> (
       match Nwm.Extract.extract binary ~begin_addr ~end_addr ~input with
@@ -574,16 +550,20 @@ let native_extract_value ?events ~id ~label ~salt ~plan binary ~begin_addr ~end_
       | Some _ -> ());
       (d.Nwm.Extract.value, d.Nwm.Extract.confidence)
 
-let compute_native ?inject ?events ~id (job : Job.t) program action =
+(* The native track runs nwm only, directly: its recognizer needs the
+   embedder's region span, so a native job embeds before it measures and
+   there is no stand-alone native recognize or attack job. *)
+let compute_native ?events ~id (job : Job.t) program =
   if job.Job.scheme <> Job.default_native_scheme then
     failwith (Printf.sprintf "scheme %s cannot run on the native track" job.Job.scheme);
-  match (action : Job.native_action) with
-  | Job.Native_embed { fingerprint; tamper_proof } ->
-      let report =
-        timed ?events ~id ~stage:"native-embed" (fun () ->
-            Nwm.Embed.embed ~seed:job.Job.seed ~tamper_proof ?fuel:job.Job.fuel ~watermark:fingerprint
-              ~bits:job.Job.bits ~training_input:job.Job.input program)
-      in
+  let embed fingerprint =
+    timed ?events ~id ~stage:"native-embed" (fun () ->
+        Nwm.Embed.embed ~seed:job.Job.seed ?fuel:job.Job.fuel ~watermark:fingerprint
+          ~bits:job.Job.bits ~training_input:job.Job.input program)
+  in
+  match job.Job.action with
+  | Job.Embed { fingerprint; _ } ->
+      let report = embed fingerprint in
       Native_embedded
         {
           binary = Nativesim.Binary.encode report.Nwm.Embed.binary;
@@ -592,29 +572,15 @@ let compute_native ?inject ?events ~id (job : Job.t) program action =
           bytes_before = report.Nwm.Embed.bytes_before;
           bytes_after = report.Nwm.Embed.bytes_after;
         }
-  | Job.Native_extract { begin_addr; end_addr; expected } ->
-      let binary = timed ?events ~id ~stage:"assemble" (fun () -> Nativesim.Asm.assemble program) in
-      let plan =
-        match inject with
-        | Some plan when Fault.Inject.garble plan ~salt:"probe" <> None -> Some plan
-        | _ -> None
-      in
-      let value =
-        fst
-          (timed ?events ~id ~stage:"native-extract" (fun () ->
-               native_extract_value ?events ~id ~label:job.Job.label ~salt:(Job.trace_digest job)
-                 ~plan binary ~begin_addr ~end_addr ~input:job.Job.input))
-      in
-      Native_extracted { value; matched = match_against expected value }
-  | Job.Native_tournament_cell cell ->
+  | Job.Recognize _ | Job.Attack_campaign _ ->
+      failwith
+        (Printf.sprintf "scheme %s: %s jobs need the embedded region and cannot run on their own"
+           job.Job.scheme (Job.kind job))
+  | Job.Tournament_cell cell ->
       let fingerprint = cell.Job.cell_fingerprint in
       (* the embed always runs — even control cells need the region span
          the extractor will probe *)
-      let report =
-        timed ?events ~id ~stage:"native-embed" (fun () ->
-            Nwm.Embed.embed ~seed:job.Job.seed ~tamper_proof:true ?fuel:job.Job.fuel
-              ~watermark:fingerprint ~bits:job.Job.bits ~training_input:job.Job.input program)
-      in
+      let report = embed fingerprint in
       let begin_addr = report.Nwm.Embed.begin_addr and end_addr = report.Nwm.Embed.end_addr in
       let target =
         if cell.Job.cell_control then
@@ -651,7 +617,7 @@ let compute_native ?inject ?events ~id (job : Job.t) program action =
       in
       let value, confidence =
         timed ?events ~id ~stage:"native-extract" (fun () ->
-            native_extract_value ?events ~id ~label:job.Job.label
+            nwm_extract_value ?events ~id ~label:job.Job.label
               ~salt:(Job.trace_digest job ^ ":" ^ cell.Job.cell_attack)
               ~plan attacked ~begin_addr ~end_addr ~input:job.Job.input)
       in
@@ -667,12 +633,8 @@ let compute_native ?inject ?events ~id (job : Job.t) program action =
           confidence;
           nfaults = (if Option.is_some plan then 1 else 0);
         }
-  | Job.Native_audit { fingerprint } ->
-      let report =
-        timed ?events ~id ~stage:"native-embed" (fun () ->
-            Nwm.Embed.embed ~seed:job.Job.seed ~tamper_proof:true ?fuel:job.Job.fuel
-              ~watermark:fingerprint ~bits:job.Job.bits ~training_input:job.Job.input program)
-      in
+  | Job.Audit { fingerprint } ->
+      let report = embed fingerprint in
       let clean_binary = Nativesim.Asm.assemble program in
       let clean_diags = Analysis.Nlint.lint clean_binary in
       let marked_diags =
@@ -866,9 +828,9 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
               raise Injected_crash
           | _ -> ());
           let j = job_for_attempt n in
-          match j.Job.payload with
-          | Job.Vm { program; action } -> compute_vm ?inject ?cache ?events ?backend ~id j program action
-          | Job.Native { program; action } -> compute_native ?inject ?events ~id j program action
+          match j.Job.host with
+          | Job.Vm program -> compute_vm ?inject ?cache ?events ?backend ~id j program
+          | Job.Native program -> compute_native ?events ~id j program
         in
         let note_crash crashed =
           match breaker with
@@ -929,8 +891,8 @@ let prewarm ~domains ?cache ?events jobs =
       let distinct = Hashtbl.create 8 in
       List.iter
         (fun (j : Job.t) ->
-          match j.Job.payload with
-          | Job.Vm { program; action = Job.Embed _ }
+          match (j.Job.host, j.Job.action) with
+          | Job.Vm program, Job.Embed _
             when j.Job.scheme = Job.default_vm_scheme
                  && not (Cache.mem_bytes c ~stage:(Job.kind j) ~key:(Job.digest j)) ->
               let tk = Job.trace_digest j in

@@ -25,7 +25,6 @@ type outcome =
       bytes_before : int;
       bytes_after : int;
     }
-  | Native_extracted of { value : Bignum.t option; matched : bool option }
   | Audited of {
       passes : string list;  (** the {!Analysis.Locator} passes that ran *)
       marked_fns : string list;
@@ -119,9 +118,10 @@ val run :
 (** Execute the jobs; results are in job order.  [domains] defaults to 1
     (sequential).  [retries] is a shorthand that overrides
     [policy.retries].  [inject] applies a deterministic fault plan inside
-    the run — trace noise before recombination, observation garbling in
-    the native tracer (majority-voted over several passes), worker
-    crashes, fuel cuts, corrupted result-cache entries.  Faulted runs
+    the run — trace noise before recombination, worker crashes, fuel
+    cuts, corrupted result-cache entries (tournament cells carry their
+    own plan, which on the native track garbles the tracer's
+    observations, majority-voted over several passes).  Faulted runs
     cache under a digest salted with the plan, so they never poison clean
     results.  No injected fault escapes as an exception: every job still
     returns a typed outcome.

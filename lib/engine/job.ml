@@ -6,22 +6,14 @@ type cell_spec = {
   cell_faults : Fault.Spec.t list;
 }
 
-type vm_action =
+type action =
   | Embed of { fingerprint : Bignum.t; pieces : int }
   | Recognize of { expected : Bignum.t option }
   | Attack_campaign of { expected : Bignum.t; attacks : string list }
   | Audit of { fingerprint : Bignum.t }
   | Tournament_cell of cell_spec
 
-type native_action =
-  | Native_embed of { fingerprint : Bignum.t; tamper_proof : bool }
-  | Native_extract of { begin_addr : int; end_addr : int; expected : Bignum.t option }
-  | Native_audit of { fingerprint : Bignum.t }
-  | Native_tournament_cell of cell_spec
-
-type payload =
-  | Vm of { program : Stackvm.Program.t; action : vm_action }
-  | Native of { program : Nativesim.Asm.program; action : native_action }
+type host = Vm of Stackvm.Program.t | Native of Nativesim.Asm.program
 
 type t = {
   label : string;
@@ -31,95 +23,43 @@ type t = {
   seed : int64;
   fuel : int option;
   scheme : string;
-  payload : payload;
+  host : host;
+  action : action;
 }
 
 let default_seed = 0x1234_5678L
 let default_vm_scheme = "jwm"
 let default_native_scheme = "nwm"
 
-let vm_embed ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ~key ~bits ~pieces
-    ~fingerprint ~input program =
-  let label = Option.value label ~default:("embed:" ^ Bignum.to_string fingerprint) in
-  {
-    label;
-    key;
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme;
-    payload = Vm { program; action = Embed { fingerprint; pieces } };
-  }
+let make ?label ~default_label ?(seed = default_seed) ?fuel ~scheme ~key ~bits ~input host action =
+  let label = Option.value label ~default:default_label in
+  { label; key; bits; input; seed; fuel; scheme; host; action }
 
-let vm_recognize ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ?expected ~key ~bits
-    ~input program =
-  let label = Option.value label ~default:"recognize" in
-  {
-    label;
-    key;
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme;
-    payload = Vm { program; action = Recognize { expected } };
-  }
-
-let vm_attack_campaign ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ~key ~bits
-    ~expected ~attacks ~input program =
-  let label = Option.value label ~default:(Printf.sprintf "attack[%d]" (List.length attacks)) in
-  {
-    label;
-    key;
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme;
-    payload = Vm { program; action = Attack_campaign { expected; attacks } };
-  }
-
-let vm_audit ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ~key ~bits ~fingerprint
-    ~input program =
-  let label = Option.value label ~default:("audit:" ^ scheme) in
-  {
-    label;
-    key;
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme;
-    payload = Vm { program; action = Audit { fingerprint } };
-  }
-
-let native_embed ?label ?(seed = default_seed) ?fuel ?(tamper_proof = true) ~bits ~fingerprint ~input
+let vm_embed ?label ?seed ?fuel ?(scheme = default_vm_scheme) ~key ~bits ~pieces ~fingerprint ~input
     program =
-  let label = Option.value label ~default:("native-embed:" ^ Bignum.to_string fingerprint) in
-  {
-    label;
-    key = "";
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme = default_native_scheme;
-    payload = Native { program; action = Native_embed { fingerprint; tamper_proof } };
-  }
+  make ?label ~default_label:("embed:" ^ Bignum.to_string fingerprint) ?seed ?fuel ~scheme ~key ~bits
+    ~input (Vm program) (Embed { fingerprint; pieces })
 
-let native_audit ?label ?(seed = default_seed) ?fuel ~bits ~fingerprint ~input program =
-  let label = Option.value label ~default:("audit:" ^ default_native_scheme) in
-  {
-    label;
-    key = "";
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme = default_native_scheme;
-    payload = Native { program; action = Native_audit { fingerprint } };
-  }
+let vm_recognize ?label ?seed ?fuel ?(scheme = default_vm_scheme) ?expected ~key ~bits ~input program =
+  make ?label ~default_label:"recognize" ?seed ?fuel ~scheme ~key ~bits ~input (Vm program)
+    (Recognize { expected })
+
+let vm_attack_campaign ?label ?seed ?fuel ?(scheme = default_vm_scheme) ~key ~bits ~expected ~attacks
+    ~input program =
+  make ?label
+    ~default_label:(Printf.sprintf "attack[%d]" (List.length attacks))
+    ?seed ?fuel ~scheme ~key ~bits ~input (Vm program)
+    (Attack_campaign { expected; attacks })
+
+(* nwm embeds one region, so the redundancy field is fixed at 1 *)
+let native_embed ?label ?seed ?fuel ~bits ~fingerprint ~input program =
+  make ?label ~default_label:("native-embed:" ^ Bignum.to_string fingerprint) ?seed ?fuel
+    ~scheme:default_native_scheme ~key:"" ~bits ~input (Native program)
+    (Embed { fingerprint; pieces = 1 })
+
+let audit ?label ?seed ?fuel ~scheme ~key ~bits ~fingerprint ~input host =
+  make ?label ~default_label:("audit:" ^ scheme) ?seed ?fuel ~scheme ~key ~bits ~input host
+    (Audit { fingerprint })
 
 let cell_spec ?(control = false) ?(fault_seed = 1L) ?(faults = []) ~fingerprint ~attack () =
   {
@@ -130,53 +70,15 @@ let cell_spec ?(control = false) ?(fault_seed = 1L) ?(faults = []) ~fingerprint 
     cell_faults = faults;
   }
 
-let vm_tournament_cell ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ~key ~bits
-    ~input ~cell program =
-  let label = Option.value label ~default:(Printf.sprintf "cell:%s:%s" scheme cell.cell_attack) in
-  {
-    label;
-    key;
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme;
-    payload = Vm { program; action = Tournament_cell cell };
-  }
-
-let native_tournament_cell ?label ?(seed = default_seed) ?fuel ~bits ~input ~cell program =
-  let label =
-    Option.value label
-      ~default:(Printf.sprintf "cell:%s:%s" default_native_scheme cell.cell_attack)
-  in
-  {
-    label;
-    key = "";
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme = default_native_scheme;
-    payload = Native { program; action = Native_tournament_cell cell };
-  }
-
-let native_extract ?label ?fuel ?expected ~bits ~begin_addr ~end_addr ~input program =
-  let label = Option.value label ~default:"native-extract" in
-  {
-    label;
-    key = "";
-    bits;
-    input;
-    seed = default_seed;
-    fuel;
-    scheme = default_native_scheme;
-    payload = Native { program; action = Native_extract { begin_addr; end_addr; expected } };
-  }
+let tournament_cell ?label ?seed ?fuel ~scheme ~key ~bits ~input ~cell host =
+  make ?label
+    ~default_label:(Printf.sprintf "cell:%s:%s" scheme cell.cell_attack)
+    ?seed ?fuel ~scheme ~key ~bits ~input host (Tournament_cell cell)
 
 let program_bytes t =
-  match t.payload with
-  | Vm { program; _ } -> Stackvm.Serialize.encode program
-  | Native { program; _ } -> Nativesim.Binary.encode (Nativesim.Asm.assemble program)
+  match t.host with
+  | Vm program -> Stackvm.Serialize.encode program
+  | Native program -> Nativesim.Binary.encode (Nativesim.Asm.assemble program)
 
 let hex s = Digest.to_hex (Digest.string s)
 let program_digest t = hex (program_bytes t)
@@ -203,34 +105,22 @@ let trace_digest t =
   hex (Buffer.contents buf)
 
 let action_fields buf t =
-  match t.payload with
-  | Vm { action = Embed { fingerprint; pieces }; _ } ->
+  match t.action with
+  | Embed { fingerprint; pieces } ->
       add_field buf "action" "embed";
       add_field buf "fingerprint" (Bignum.to_string fingerprint);
       add_field buf "pieces" (string_of_int pieces)
-  | Vm { action = Recognize { expected }; _ } ->
+  | Recognize { expected } ->
       add_field buf "action" "recognize";
       add_field buf "expected" (match expected with None -> "" | Some w -> Bignum.to_string w)
-  | Vm { action = Attack_campaign { expected; attacks }; _ } ->
+  | Attack_campaign { expected; attacks } ->
       add_field buf "action" "attack";
       add_field buf "expected" (Bignum.to_string expected);
       add_field buf "attacks" (String.concat "," attacks)
-  | Native { action = Native_embed { fingerprint; tamper_proof }; _ } ->
-      add_field buf "action" "native-embed";
-      add_field buf "fingerprint" (Bignum.to_string fingerprint);
-      add_field buf "tamper_proof" (string_of_bool tamper_proof)
-  | Native { action = Native_extract { begin_addr; end_addr; expected }; _ } ->
-      add_field buf "action" "native-extract";
-      add_field buf "begin" (string_of_int begin_addr);
-      add_field buf "end" (string_of_int end_addr);
-      add_field buf "expected" (match expected with None -> "" | Some w -> Bignum.to_string w)
-  | Vm { action = Audit { fingerprint }; _ } ->
+  | Audit { fingerprint } ->
       add_field buf "action" "audit";
       add_field buf "fingerprint" (Bignum.to_string fingerprint)
-  | Native { action = Native_audit { fingerprint }; _ } ->
-      add_field buf "action" "native-audit";
-      add_field buf "fingerprint" (Bignum.to_string fingerprint)
-  | Vm { action = Tournament_cell cell; _ } | Native { action = Native_tournament_cell cell; _ } ->
+  | Tournament_cell cell ->
       add_field buf "action" "tournament";
       add_field buf "fingerprint" (Bignum.to_string cell.cell_fingerprint);
       add_field buf "attack" cell.cell_attack;
@@ -252,15 +142,14 @@ let digest t =
   hex (Buffer.contents buf)
 
 let kind t =
-  match t.payload with
-  | Vm { action = Embed _; _ } -> "embed"
-  | Vm { action = Recognize _; _ } -> "recognize"
-  | Vm { action = Attack_campaign _; _ } -> "attack"
-  | Vm { action = Audit _; _ } -> "audit"
-  | Vm { action = Tournament_cell _; _ } -> "tournament"
-  | Native { action = Native_embed _; _ } -> "native-embed"
-  | Native { action = Native_extract _; _ } -> "native-extract"
-  | Native { action = Native_audit _; _ } -> "native-audit"
-  | Native { action = Native_tournament_cell _; _ } -> "native-tournament"
+  let k =
+    match t.action with
+    | Embed _ -> "embed"
+    | Recognize _ -> "recognize"
+    | Attack_campaign _ -> "attack"
+    | Audit _ -> "audit"
+    | Tournament_cell _ -> "tournament"
+  in
+  match t.host with Vm _ -> k | Native _ -> "native-" ^ k
 
 let describe t = Printf.sprintf "%s %s (%d bits, input [%s])" (kind t) t.label t.bits (input_string t.input)

@@ -1,9 +1,8 @@
 (** Deterministic batch-job specifications.
 
-    A job fully describes one unit of watermarking work on either track —
-    embed, recognize or an attack campaign over a program × fingerprint ×
-    input triple — plus the seed and fuel that make its execution
-    reproducible.  Equal specs produce equal results no matter which
+    A job fully describes one unit of watermarking work — one {!action}
+    on a {!host} of either track, under a named scheme — plus the seed and
+    fuel that make its execution reproducible.  Equal specs produce equal results no matter which
     domain runs them or in what order, which is what lets {!Pool} schedule
     freely and {!Cache} memoize by content.
 
@@ -31,8 +30,10 @@ type cell_spec = {
     of the scheme × workload × attack × fault-plan cross-product
     ({!Tournament.Scorecard}). *)
 
-type vm_action =
+type action =
   | Embed of { fingerprint : Bignum.t; pieces : int }
+      (** [pieces] is the scheme's redundancy (jwm pieces, gwm copies);
+          native embeds fix it at 1 *)
   | Recognize of { expected : Bignum.t option }
       (** blind recognition; [expected] only adds a match check *)
   | Attack_campaign of { expected : Bignum.t; attacks : string list }
@@ -41,23 +42,18 @@ type vm_action =
           survives each one *)
   | Audit of { fingerprint : Bignum.t }
       (** stealth audit: embed into the (clean) carrier, then run the
-          scheme's declared {!Analysis.Locator} passes over both the
-          clean and the marked program and report which marked functions
-          the static locator implicates *)
+          scheme's static locator over both the clean and the marked
+          program and report which marked parts it implicates (the
+          declared {!Analysis.Locator} passes on the VM track;
+          {!Analysis.Nlint} and the embedded region on the native track) *)
   | Tournament_cell of cell_spec
+(** One vocabulary for both tracks.  Native jobs run nwm, which needs the
+    embedder's region to recognize, so {!Batch} fails native [Recognize]
+    and [Attack_campaign] jobs. *)
 
-type native_action =
-  | Native_embed of { fingerprint : Bignum.t; tamper_proof : bool }
-  | Native_extract of { begin_addr : int; end_addr : int; expected : Bignum.t option }
-  | Native_audit of { fingerprint : Bignum.t }
-      (** the audit action for the native track: embed, then run
-          {!Analysis.Nlint} over clean and marked binaries and test
-          whether any finding lands inside the embedded region *)
-  | Native_tournament_cell of cell_spec
-
-type payload =
-  | Vm of { program : Stackvm.Program.t; action : vm_action }
-  | Native of { program : Nativesim.Asm.program; action : native_action }
+type host = Vm of Stackvm.Program.t | Native of Nativesim.Asm.program
+(** The clean or marked program the action runs on: stack-VM bytecode or
+    native assembly. *)
 
 type t = {
   label : string;  (** display name; not part of the digest *)
@@ -69,7 +65,8 @@ type t = {
   scheme : string;
       (** registry name of the watermarking scheme ({!Scheme.Registry});
           VM jobs default to ["jwm"], native jobs to ["nwm"] *)
-  payload : payload;
+  host : host;
+  action : action;
 }
 
 val default_vm_scheme : string
@@ -113,47 +110,12 @@ val vm_attack_campaign :
   Stackvm.Program.t ->
   t
 
-val vm_audit :
-  ?label:string ->
-  ?seed:int64 ->
-  ?fuel:int ->
-  ?scheme:string ->
-  key:string ->
-  bits:int ->
-  fingerprint:Bignum.t ->
-  input:int list ->
-  Stackvm.Program.t ->
-  t
-(** The program is the {e clean} carrier; the audit embeds internally. *)
-
-val native_audit :
-  ?label:string ->
-  ?seed:int64 ->
-  ?fuel:int ->
-  bits:int ->
-  fingerprint:Bignum.t ->
-  input:int list ->
-  Nativesim.Asm.program ->
-  t
-
 val native_embed :
   ?label:string ->
   ?seed:int64 ->
   ?fuel:int ->
-  ?tamper_proof:bool ->
   bits:int ->
   fingerprint:Bignum.t ->
-  input:int list ->
-  Nativesim.Asm.program ->
-  t
-
-val native_extract :
-  ?label:string ->
-  ?fuel:int ->
-  ?expected:Bignum.t ->
-  bits:int ->
-  begin_addr:int ->
-  end_addr:int ->
   input:int list ->
   Nativesim.Asm.program ->
   t
@@ -168,29 +130,34 @@ val cell_spec :
   cell_spec
 (** Defaults: not a control, fault seed 1, empty fault plan. *)
 
-val vm_tournament_cell :
+val audit :
   ?label:string ->
   ?seed:int64 ->
   ?fuel:int ->
-  ?scheme:string ->
+  scheme:string ->
+  key:string ->
+  bits:int ->
+  fingerprint:Bignum.t ->
+  input:int list ->
+  host ->
+  t
+(** The host is the {e clean} carrier of either track; the audit embeds
+    internally. *)
+
+val tournament_cell :
+  ?label:string ->
+  ?seed:int64 ->
+  ?fuel:int ->
+  scheme:string ->
   key:string ->
   bits:int ->
   input:int list ->
   cell:cell_spec ->
-  Stackvm.Program.t ->
+  host ->
   t
-(** The program is the {e clean} carrier; the cell embeds internally
-    (control cells skip the embed and the attack). *)
-
-val native_tournament_cell :
-  ?label:string ->
-  ?seed:int64 ->
-  ?fuel:int ->
-  bits:int ->
-  input:int list ->
-  cell:cell_spec ->
-  Nativesim.Asm.program ->
-  t
+(** The host is the {e clean} carrier of either track; the cell embeds
+    internally (VM control cells skip the embed and the attack; native
+    ones still embed, for the region the extractor probes). *)
 
 val program_bytes : t -> string
 (** Canonical byte serialization of the job's program
@@ -210,10 +177,9 @@ val digest : t -> string
 (** Stable hex digest of the full spec (minus [label]). *)
 
 val kind : t -> string
-(** Short action tag: ["embed"], ["recognize"], ["attack"], ["audit"],
-    ["tournament"], ["native-embed"], ["native-extract"],
-    ["native-audit"] or ["native-tournament"] — used as the cache stage
-    for memoized job results. *)
+(** Short action tag: ["embed"], ["recognize"], ["attack"], ["audit"] or
+    ["tournament"], prefixed with ["native-"] for native hosts — used as
+    the cache stage for memoized job results. *)
 
 val describe : t -> string
 (** One-line description for logs. *)

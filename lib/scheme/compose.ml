@@ -43,6 +43,10 @@ let compose members =
   let track = List.hd tracks in
   if not (List.for_all (( = ) track) tracks) then
     invalid_arg "Compose.compose: components must share a track";
+  (* a native member consumes assembly and emits a binary, so no second
+     member can embed after it *)
+  if track = Native then
+    invalid_arg "Compose.compose: native-track schemes cannot be stacked";
   let module C = struct
     let name =
       String.concat "+"

@@ -3,7 +3,7 @@
     [compose \[w1; …; wk\]] is a scheme named ["w1+…+wk"] that embeds every
     component mark into one program — the double-watermark attack scenario,
     promoted to something the test suite and the experiment runner can
-    drive directly.  Components must share a track.
+    drive directly.  Components must share the VM track.
 
     Embedding threads the carrier left to right; component [i] embeds under
     a seed split derived from the spec seed (component 0 uses the spec seed
@@ -18,4 +18,6 @@ val seed_for : int64 -> int -> int64
 
 val compose :
   (module Watermarker.WATERMARKER) list -> (module Watermarker.WATERMARKER)
-(** Raises [Invalid_argument] on an empty list or mixed tracks. *)
+(** Raises [Invalid_argument] on an empty list, mixed tracks, or
+    native-track members (their embedder turns assembly into a binary, so
+    a second member has nothing to embed into). *)

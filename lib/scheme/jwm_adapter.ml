@@ -61,10 +61,11 @@ module M = struct
       value = o.value;
       confidence = o.partial.Jwm.Recognize.confidence;
       detail =
-        Printf.sprintf "%d/%d primes covered, %d pieces%s"
+        Printf.sprintf "%d/%d primes covered, %d pieces, redundancy margin %d%s"
           o.partial.Jwm.Recognize.primes_covered
           o.partial.Jwm.Recognize.primes_total
           o.partial.Jwm.Recognize.pieces_recovered
+          o.partial.Jwm.Recognize.redundancy_margin
           (match o.diagnostic with None -> "" | Some d -> "; " ^ d);
     }
 

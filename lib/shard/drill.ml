@@ -16,11 +16,6 @@ type report = {
   ms_p99 : float;
 }
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1 |> max 0))
-
 (* the same level check the shard tests use: the follower's persisted
    offset has reached the leader's journal size and every leader blob is
    mirrored — only then can a kill lose nothing *)
@@ -183,6 +178,6 @@ let run ?(shards = 3) ?(replicate = [ 0 ]) ?(ops = 10_000) ?(kill_frac = 0.6) ?m
         marks = !marks_done;
         failover_ms = !failover_ms;
         recovery_ms;
-        ms_p50 = percentile sorted 0.50;
-        ms_p99 = percentile sorted 0.99;
+        ms_p50 = Util.Stats.percentile sorted 0.50;
+        ms_p99 = Util.Stats.percentile sorted 0.99;
       })

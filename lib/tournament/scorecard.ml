@@ -218,6 +218,11 @@ let run ?(domains = 1) ?seed ?(bits = default_bits) ?(fingerprint = default_fing
           (fun (w : Workloads.Workload.t) ->
             let wname = w.Workloads.Workload.name in
             let input = w.Workloads.Workload.input in
+            let host =
+              match track with
+              | Scheme.Watermarker.Vm -> Engine.Job.Vm (Workloads.Workload.vm_program w)
+              | Scheme.Watermarker.Native -> Engine.Job.Native (Workloads.Workload.native_program w)
+            in
             List.concat_map
               (fun (plan_name, faults) ->
                 let make_job ~control ~attack =
@@ -237,17 +242,9 @@ let run ?(domains = 1) ?seed ?(bits = default_bits) ?(fingerprint = default_fing
                       m_control = control;
                     }
                   in
-                  let job =
-                    match track with
-                    | Scheme.Watermarker.Vm ->
-                        Engine.Job.vm_tournament_cell ~label ?seed ~scheme:name ~key ~bits ~input
-                          ~cell
-                          (Workloads.Workload.vm_program w)
-                    | Scheme.Watermarker.Native ->
-                        Engine.Job.native_tournament_cell ~label ?seed ~bits ~input ~cell
-                          (Workloads.Workload.native_program w)
-                  in
-                  (meta, job)
+                  ( meta,
+                    Engine.Job.tournament_cell ~label ?seed ~scheme:name ~key ~bits ~input ~cell
+                      host )
                 in
                 (* one unmarked credibility control per scheme × workload ×
                    plan, then one marked cell per attack *)
@@ -383,53 +380,38 @@ let render t =
       t.violations;
   Buffer.contents buf
 
-(* minimal JSON writer (no JSON library in the toolchain) *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
-let json_list items = "[" ^ String.concat "," items ^ "]"
+module J = Util.Json
 
 let to_json t =
   let cell c =
     Printf.sprintf
       "{\"workload\":%s,\"attack\":%s,\"plan\":%s,\"control\":%b,\"survived\":%b,\"false_positive\":%b,\"confidence\":%.4f,\"nfaults\":%d,\"cached\":%b,\"ms\":%.3f%s}"
-      (json_str c.c_workload) (json_str c.c_attack) (json_str c.c_plan) c.c_control c.c_survived
+      (J.str c.c_workload) (J.str c.c_attack) (J.str c.c_plan) c.c_control c.c_survived
       c.c_false_positive c.c_confidence c.c_nfaults c.c_cached c.c_ms
-      (match c.c_failed with None -> "" | Some r -> ",\"failed\":" ^ json_str r)
+      (match c.c_failed with None -> "" | Some r -> ",\"failed\":" ^ J.str r)
   in
   let class_stats s =
-    Printf.sprintf "{\"class\":%s,\"survived\":%d,\"total\":%d,\"rate\":%.4f}" (json_str s.cls)
+    Printf.sprintf "{\"class\":%s,\"survived\":%d,\"total\":%d,\"rate\":%.4f}" (J.str s.cls)
       s.cls_survived s.cls_total s.cls_rate
   in
   let row r =
     let s = r.summary in
     Printf.sprintf
       "{\"scheme\":%s,\"track\":%s,\"floor\":%.4f,\"composite\":%.4f,\"credibility\":%.4f,\"survival\":%.4f,\"marked\":%d,\"survived\":%d,\"controls\":%d,\"false_positives\":%d,\"confidence\":{\"min\":%.4f,\"mean\":%.4f,\"max\":%.4f},\"classes\":%s,\"cells\":%s}"
-      (json_str r.scheme)
-      (json_str (Scheme.Watermarker.track_to_string r.track))
+      (J.str r.scheme)
+      (J.str (Scheme.Watermarker.track_to_string r.track))
       r.floor s.composite s.credibility s.survival s.marked s.survived s.controls
       s.false_positives s.conf_min s.conf_mean s.conf_max
-      (json_list (List.map class_stats s.classes))
-      (json_list (List.map cell r.cells))
+      (J.list (List.map class_stats s.classes))
+      (J.list (List.map cell r.cells))
   in
   let violation v =
-    Printf.sprintf "{\"scheme\":%s,\"cell\":%s,\"reason\":%s}" (json_str v.v_scheme)
-      (json_str v.v_cell) (json_str v.v_reason)
+    Printf.sprintf "{\"scheme\":%s,\"cell\":%s,\"reason\":%s}" (J.str v.v_scheme)
+      (J.str v.v_cell) (J.str v.v_reason)
   in
   let all_cells = List.concat_map (fun r -> r.cells) t.rows in
   Printf.sprintf "{\"rows\":%s,\"violations\":%s,\"gate_ok\":%b,\"cells\":%d,\"cached_cells\":%d}"
-    (json_list (List.map row t.rows))
-    (json_list (List.map violation t.violations))
+    (J.list (List.map row t.rows))
+    (J.list (List.map violation t.violations))
     (gate_ok t) (List.length all_cells)
     (List.length (List.filter (fun c -> c.c_cached) all_cells))

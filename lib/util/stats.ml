@@ -34,3 +34,8 @@ let spec_average xs =
   end
 
 let percent ~before ~after = (after -. before) /. before *. 100.0
+
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))

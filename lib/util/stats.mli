@@ -20,3 +20,8 @@ val spec_average : float list -> float
 val percent : before:float -> after:float -> float
 (** [percent ~before ~after] is the relative change in percent,
     [(after - before) / before * 100]. *)
+
+val percentile : float array -> float -> float
+(** [percentile sorted p] for [p] in [\[0, 1\]] is the nearest-rank
+    percentile of an ascending array: the element at index
+    [ceil (p * n) - 1], clamped to the array; 0 for the empty array. *)

@@ -221,7 +221,6 @@ let test_outcome_roundtrip () =
       Batch.Vm_attacked { survived = [ ("ba", true); ("bi-0.5", false) ] };
       Batch.Native_embedded
         { binary = "bin"; begin_addr = 3; end_addr = 9; bytes_before = 5; bytes_after = 7 };
-      Batch.Native_extracted { value = Some (Bignum.of_int 5); matched = Some false };
       Batch.Failed { reason = "fuel exhausted"; attempts = 3 };
     ]
   in
@@ -330,6 +329,49 @@ let test_batch_recognize_and_attack () =
         survived
   | _ -> Alcotest.fail "expected recognized + attacked outcomes"
 
+(* Native jobs run nwm only: every other scheme, registered on the VM
+   track or not registered at all, must fail with its name in the reason
+   rather than be measured as nwm. *)
+let test_native_jobs_name_rejected_scheme () =
+  let native =
+    Job.Native
+      (Minic.To_native.compile_source
+         "func main() { int x = read(); if (x > 3) { print(x); } return 0; }")
+  in
+  (* fits the 16-bit width, so only the scheme check can fail the jobs *)
+  let mark = Bignum.of_int 0xBEEF in
+  let cell = Job.cell_spec ~fingerprint:mark ~attack:"identity" () in
+  let jobs =
+    List.concat_map
+      (fun scheme ->
+        [
+          (scheme, Job.audit ~scheme ~key ~bits:16 ~fingerprint:mark ~input:[ 5 ] native);
+          (scheme, Job.tournament_cell ~scheme ~key ~bits:16 ~input:[ 5 ] ~cell native);
+        ])
+      [ "jwm"; "zwm" ]
+  in
+  let recognize =
+    { (Job.vm_recognize ~key ~bits:16 ~input:[ 5 ] host_program) with
+      Job.scheme = "nwm"; host = native }
+  in
+  let contains s needle =
+    let nl = String.length needle in
+    let rec go i = i + nl <= String.length s && (String.sub s i nl = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter2
+    (fun (scheme, (job : Job.t)) (r : Batch.result) ->
+      match r.Batch.outcome with
+      | Batch.Failed { reason; _ } ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s reason names the scheme: %s" (Job.kind job) scheme reason)
+            true
+            (contains reason ("scheme " ^ scheme))
+      | o -> Alcotest.failf "%s %s: expected Failed, got %s" (Job.kind job) scheme
+               (Batch.describe_outcome o))
+    (jobs @ [ ("nwm", recognize) ])
+    (Batch.run (List.map snd jobs @ [ recognize ]))
+
 (* ---- Events ---- *)
 
 let test_events_counters_and_json () =
@@ -370,5 +412,7 @@ let suite =
     Alcotest.test_case "warm re-run served entirely from cache" `Quick test_batch_rerun_all_cached;
     Alcotest.test_case "failing job isolated, retries bounded" `Quick test_batch_failure_isolated;
     Alcotest.test_case "recognize and attack jobs round-trip" `Quick test_batch_recognize_and_attack;
+    Alcotest.test_case "native jobs name a rejected scheme" `Quick
+      test_native_jobs_name_rejected_scheme;
     Alcotest.test_case "events: counters, json, sink" `Quick test_events_counters_and_json;
   ]

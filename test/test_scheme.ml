@@ -56,7 +56,9 @@ let test_unknown_name () =
   Alcotest.(check bool) "composite with unknown part finds nothing" true
     (Scheme.Builtin.find "jwm+zwm" = None);
   Alcotest.(check bool) "mixed-track composite finds nothing" true
-    (Scheme.Builtin.find "jwm+nwm" = None)
+    (Scheme.Builtin.find "jwm+nwm" = None);
+  Alcotest.(check bool) "native-track composite finds nothing" true
+    (Scheme.Builtin.find "nwm+nwm" = None)
 
 let test_builtins_registered () =
   let names = Scheme.Builtin.names () in

@@ -158,9 +158,26 @@ let test_bits_large_growth () =
   Alcotest.(check int) "length" 100_000 (Bitstring.length t);
   Alcotest.(check bool) "spot check" true (Bitstring.get t 99_999 = (99_999 mod 3 = 0))
 
+(* nearest rank: index ceil(p * n) - 1, so the p50 of 10 samples is the
+   5th-smallest and the p99 of 100 samples the 99th *)
+let test_stats_percentile () =
+  let ranks n = Array.init n (fun i -> float_of_int (i + 1)) in
+  let check name n p expected =
+    Alcotest.(check (float 1e-9)) name expected (Stats.percentile (ranks n) p)
+  in
+  check "n=0 p50" 0 0.5 0.0;
+  check "n=0 p99" 0 0.99 0.0;
+  check "n=1 p50" 1 0.5 1.0;
+  check "n=1 p99" 1 0.99 1.0;
+  check "n=10 p50" 10 0.5 5.0;
+  check "n=10 p99" 10 0.99 10.0;
+  check "n=100 p50" 100 0.5 50.0;
+  check "n=100 p99" 100 0.99 99.0
+
 let more_suite =
   [
     ("stats more", `Quick, test_stats_more);
+    ("stats percentile nearest rank", `Quick, test_stats_percentile);
     ("bitstring empty", `Quick, test_bits_empty);
     ("bitstring get bounds", `Quick, test_bits_get_bounds);
     ("bitstring large growth", `Quick, test_bits_large_growth);
