@@ -285,7 +285,24 @@ let run_batch () =
             Jwm.Recognize.recognize ~backend ~passphrase:key ~watermark_bits:64 ~input prog)
       in
       ignore (backend_row ~mode:"recognize" ~workload:name ~backend:`Interp (recog `Interp) []);
-      ignore (backend_row ~mode:"recognize" ~workload:name ~backend:`Compiled (recog `Compiled) []);
+      let recognize_p50 =
+        backend_row ~mode:"recognize" ~workload:name ~backend:`Compiled (recog `Compiled) []
+      in
+      (* the harvest layer alone, over the compiled trace's bit-string *)
+      let params = Codec.Params.make ~passphrase:key ~watermark_bits:64 () in
+      let buf = Stackvm.Tracebuf.create ~capacity:65536 () in
+      ignore (Stackvm.Compile.run ~trace:buf code ~input);
+      let bits = Stackvm.Trace.bits_of_buf buf in
+      let harvest =
+        sample_ms iters (fun () ->
+            Codec.Recombine.harvest params bits ~strides:Codec.Harvest.default_strides)
+      in
+      ignore (backend_row ~mode:"harvest" ~workload:name ~backend:`Compiled harvest []);
+      (* the ROADMAP target: compiled recognize within 2x compiled trace *)
+      let ratio = recognize_p50 /. compiled_p50 in
+      Printf.printf "%-10s %-10s %9s      %8.2fx\n%!" "recognize" name "/ trace" ratio;
+      rows :=
+        [ ("mode", S "recognize-trace-ratio"); ("workload", S name); ("ratio", F ratio) ] :: !rows;
       let streaming =
         sample_ms iters (fun () ->
             Jwm.Recognize.recognize_streaming ~passphrase:key ~watermark_bits:64 ~input prog)

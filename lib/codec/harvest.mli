@@ -24,7 +24,15 @@ val create : ?dedup_overlaps:bool -> ?strides:int list -> Params.t -> t
     its vote multiplicity (see DESIGN.md). *)
 
 val push : t -> bool -> unit
-(** Append one trace bit and harvest every window it completes. *)
+(** Append one trace bit and harvest every window it completes.  The
+    completed windows (one per stride, once the stride has seen a full
+    block) are gathered in the caller's stride order and decrypted in
+    pairs with {!Crypto.Feistel.decrypt2}: the first and second stride
+    together, then the third and fourth, and so on; an odd window left
+    over goes through {!Crypto.Feistel.decrypt}.  The plaintexts are then
+    unenumerated and counted in that same stride order, so the statements,
+    their order, the overlap dedup and {!count} are exactly those of
+    decoding window by window with {!Statement.decode}. *)
 
 val length : t -> int
 (** Bits pushed so far. *)

@@ -1,4 +1,10 @@
-type t = { primes : int array; cipher : Crypto.Feistel.t; block_bits : int; watermark_bits : int }
+type t = {
+  primes : int array;
+  cipher : Crypto.Feistel.t;
+  block_bits : int;
+  watermark_bits : int;
+  enumeration_total : int;
+}
 
 let seed_of_passphrase passphrase =
   let h = ref 0x811C9DC5A2B39F17L in
@@ -32,7 +38,7 @@ let make ?(prime_bits = 25) ?(block_bits = Crypto.Feistel.default_block_bits) ~p
   if block_bits < 62 && total lsr block_bits <> 0 then
     invalid_arg "Params.make: piece enumeration does not fit the cipher block";
   let cipher = Crypto.Feistel.of_passphrase ~block_bits (passphrase ^ "|piece-cipher") in
-  { primes; cipher; block_bits; watermark_bits }
+  { primes; cipher; block_bits; watermark_bits; enumeration_total = total }
 
 let r t = Array.length t.primes
 

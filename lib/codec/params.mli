@@ -11,6 +11,10 @@ type t = private {
   cipher : Crypto.Feistel.t;
   block_bits : int;  (** width of an encoded piece, [= Feistel.block_bits cipher] *)
   watermark_bits : int;  (** the declared mark width: marks lie in [\[0, 2^watermark_bits)] *)
+  enumeration_total : int;
+      (** [sum p_i*p_j] over the prime pairs: enumerated statements lie in
+          [\[0, enumeration_total)], so a decrypted block at or above it is
+          no statement *)
 }
 
 val make : ?prime_bits:int -> ?block_bits:int -> passphrase:string -> watermark_bits:int -> unit -> t

@@ -54,7 +54,7 @@ let enumerate params s =
   pair_offset params s.i s.j + s.x
 
 let unenumerate (params : Params.t) v =
-  if v < 0 then None
+  if v < 0 || v >= params.enumeration_total then None
   else begin
     let r = Array.length params.primes in
     let rec scan i j off =

@@ -32,7 +32,9 @@ val enumerate : Params.t -> t -> int
 
 val unenumerate : Params.t -> int -> t option
 (** Inverse of {!enumerate}; [None] when the value falls outside the total
-    enumeration range (a garbage block). *)
+    enumeration range (a garbage block).  Almost every decrypted trace
+    window is garbage, so that case costs one compare against
+    [params.enumeration_total], before any scan of the prime pairs. *)
 
 val encode : Params.t -> t -> int
 (** [encode params s] = cipher(enumerate s): the bit pattern the embedder
@@ -40,7 +42,9 @@ val encode : Params.t -> t -> int
 
 val decode : Params.t -> int -> t option
 (** [decode params block] decrypts and unenumerates a candidate cipher
-    block from the trace. *)
+    block from the trace.  This is the single-lane reference: {!Harvest}
+    decrypts two windows at a time and must agree with it window for
+    window. *)
 
 val bits : Params.t -> t -> bool list
 (** The encoded piece as bits, least-significant first — exactly the branch

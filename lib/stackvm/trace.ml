@@ -62,20 +62,30 @@ let capture ?fuel ?(want_snapshots = true) ?(backend = `Interp) prog ~input =
 (* Incremental trace-bit decoder: the first dynamic occurrence of a branch
    site fixes its reference direction (bit 0); later occurrences decode to
    whether they deviate.  Keyed by the packed site int, so pushing an
-   event costs one int-keyed Hashtbl probe and nothing else. *)
+   event costs one int-keyed Hashtbl probe and nothing else: no generic
+   polymorphic hash, no option. *)
 module Decoder = struct
-  type t = { first : (int, bool) Hashtbl.t }
+  (* A multiplicative hash; the table indexes by the hash's low bits, so
+     the shift brings the well-mixed high half of the product down. *)
+  module Sites = Hashtbl.Make (struct
+    type t = int
 
-  let create () = { first = Hashtbl.create 64 }
+    let equal (a : int) b = a = b
+    let hash site = (site * 0x3C6EF372FE94F82B) lsr 31
+  end)
+
+  type t = { first : bool Sites.t }
+
+  let create () = { first = Sites.create 64 }
 
   let push d packed =
     let site = Tracebuf.site packed in
     let taken = Tracebuf.taken packed in
-    match Hashtbl.find_opt d.first site with
-    | None ->
-        Hashtbl.add d.first site taken;
+    match Sites.find d.first site with
+    | reference -> taken <> reference
+    | exception Not_found ->
+        Sites.add d.first site taken;
         false
-    | Some reference -> taken <> reference
 end
 
 let bits_of_buf buf =

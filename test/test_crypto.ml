@@ -55,13 +55,75 @@ let test_passphrase_deterministic () =
   Alcotest.(check bool) "different passphrase" true
     (Crypto.Feistel.encrypt c1 5 <> Crypto.Feistel.encrypt c3 5)
 
+let expect_invalid f = try ignore (f ()); false with Invalid_argument _ -> true
+
 let test_invalid_params () =
-  let expect_invalid f = try ignore (f ()); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "odd block" true (expect_invalid (fun () -> Crypto.Feistel.create ~block_bits:13 ~key:1L ()));
   Alcotest.(check bool) "too wide" true (expect_invalid (fun () -> Crypto.Feistel.create ~block_bits:64 ~key:1L ()));
   let c = Crypto.Feistel.create ~block_bits:16 ~key:1L () in
   Alcotest.(check bool) "value out of range" true (expect_invalid (fun () -> Crypto.Feistel.encrypt c 65536));
   Alcotest.(check bool) "negative value" true (expect_invalid (fun () -> Crypto.Feistel.encrypt c (-1)))
+
+(* Known answers: (block_bits, rounds, key, plaintext, encrypt, decrypt of
+   the plaintext), computed when the round function still whitened its key
+   itself.  Marks already embedded (in a registry or in saved programs) stay
+   recognizable only while these hold; a round-trip test would miss a change
+   made to both directions. *)
+let known_answers =
+  [
+    (62, 32, 0xDEADBEEFL, 0, 226739289329987341, 299170964551058154);
+    (62, 32, 0xDEADBEEFL, 1, 3882099076935775687, 1978539454527300525);
+    (62, 32, 0xDEADBEEFL, 42, 1789875518151270753, 569517116793298520);
+    (62, 32, 0xDEADBEEFL, 2305843009213693951, 977549197104948576, 2489205156092960116);
+    (62, 32, 0xDEADBEEFL, 123456789123456789, 1672814960093034903, 4086624120716587219);
+    (62, 32, 0xDEADBEEFL, 4611686018427387903, 1881135934283961379, 3237355064605000873);
+    (62, 32, 0x5EEDL, 0, 1333720214867770941, 2444997038239074709);
+    (62, 32, 0x5EEDL, 7, 2478653879928322032, 3901784045449876453);
+    (62, 32, 0x5EEDL, 1099511627776, 3361083971862469831, 2419934823106072692);
+    (62, 32, 0x5EEDL, 987654321987, 1519344668372959818, 3286714379221708080);
+    (18, 32, 0x7L, 0, 109516, 85022);
+    (18, 32, 0x7L, 1, 208894, 222414);
+    (18, 32, 0x7L, 1000, 258919, 87312);
+    (18, 32, 0x7L, 262143, 184279, 127558);
+    (18, 32, 0x7L, 131072, 146780, 17190);
+    (18, 32, 0x1234L, 5, 48716, 162302);
+    (18, 32, 0x1234L, 77777, 183549, 177834);
+    (18, 32, 0x1234L, 200000, 105114, 214753);
+    (16, 32, 0x7L, 0, 5875, 45403);
+    (16, 32, 0x7L, 1, 65324, 15017);
+    (16, 32, 0x7L, 255, 32971, 21577);
+    (16, 32, 0x7L, 65535, 43174, 38979);
+    (16, 32, 0x7L, 40000, 40519, 39971);
+    (16, 32, 0x63L, 3, 36406, 5487);
+    (16, 32, 0x63L, 12345, 46563, 15188);
+    (16, 32, 0x63L, 54321, 64094, 42159);
+    (62, 12, 0xC0FFEEL, 0, 4435075176552745731, 1708451951244351775);
+    (62, 12, 0xC0FFEEL, 1, 3901658112105873086, 427446726492546135);
+    (62, 12, 0xC0FFEEL, 42, 1375779773600161806, 3424591530701893902);
+    (62, 12, 0xC0FFEEL, 123456789123456789, 1832302421819654470, 4076571812913291610);
+    (62, 12, 0xC0FFEEL, 4611686018427387903, 3686797459384688147, 4218246330653514939);
+  ]
+
+let test_known_answers () =
+  List.iter
+    (fun (block_bits, rounds, key, v, enc, dec) ->
+      let c = Crypto.Feistel.create ~rounds ~block_bits ~key () in
+      let what = Printf.sprintf "%d-bit, %d rounds, key %Lx, v=%d" block_bits rounds key v in
+      Alcotest.(check int) ("encrypt " ^ what) enc (Crypto.Feistel.encrypt c v);
+      Alcotest.(check int) ("decrypt " ^ what) dec (Crypto.Feistel.decrypt c v);
+      Alcotest.(check int) ("decrypt . encrypt " ^ what) v (Crypto.Feistel.decrypt c enc))
+    known_answers;
+  (* the piece cipher under the default watermark key *)
+  let c = Crypto.Feistel.of_passphrase "pathmark-default-key|piece-cipher" in
+  List.iter
+    (fun (v, enc, dec) ->
+      Alcotest.(check int) "passphrase encrypt" enc (Crypto.Feistel.encrypt c v);
+      Alcotest.(check int) "passphrase decrypt" dec (Crypto.Feistel.decrypt c v))
+    [
+      (0, 4327376505051208535, 2088119637667742862);
+      (1, 384752088806381227, 1638976604559572659);
+      (123456789, 3904106565940808605, 2860929186452530992);
+    ]
 
 let qcheck_roundtrip =
   QCheck.Test.make ~name:"encrypt/decrypt roundtrip on random values" ~count:1000
@@ -70,6 +132,26 @@ let qcheck_roundtrip =
       let v = (hi lsl 30) lor lo in
       let c = Crypto.Feistel.create ~key:0x5EEDL () in
       Crypto.Feistel.decrypt c (Crypto.Feistel.encrypt c v) = v)
+
+(* decrypt2 is two decrypts: same plaintexts lane for lane, and the same
+   range check on either lane. *)
+let qcheck_decrypt2 =
+  QCheck.Test.make ~name:"decrypt2 agrees lane for lane with decrypt" ~count:1000
+    QCheck.(quad int64 (int_range 2 31) (int_range 2 40) (pair int int))
+    (fun (key, half, rounds, (a, b)) ->
+      let block_bits = 2 * half in
+      let c = Crypto.Feistel.create ~rounds ~block_bits ~key () in
+      let mask = (1 lsl block_bits) - 1 in
+      let a = a land mask and b = b land mask in
+      let out = Array.make 2 (-1) in
+      Crypto.Feistel.decrypt2 c a b out;
+      let agree = out.(0) = Crypto.Feistel.decrypt c a && out.(1) = Crypto.Feistel.decrypt c b in
+      (* an out-of-range lane: a negative value, or one bit above the block *)
+      let bad = if block_bits = 62 then -1 - a else a lor (1 lsl block_bits) in
+      agree
+      && expect_invalid (fun () -> Crypto.Feistel.decrypt c bad)
+      && expect_invalid (fun () -> Crypto.Feistel.decrypt2 c bad b out)
+      && expect_invalid (fun () -> Crypto.Feistel.decrypt2 c a bad out))
 
 let suite =
   [
@@ -80,5 +162,7 @@ let suite =
     ("diffusion/avalanche", `Quick, test_diffusion);
     ("passphrase derivation", `Quick, test_passphrase_deterministic);
     ("invalid parameters", `Quick, test_invalid_params);
+    ("known-answer vectors", `Quick, test_known_answers);
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_decrypt2;
   ]
