@@ -77,32 +77,10 @@ let describe_outcome = function
    spill-file bytes must fail soft (return [None]), and [Marshal] cannot
    promise that. *)
 
-let add_varint buf v =
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
-      go (v lsr 7)
-    end
-  in
-  if v < 0 then invalid_arg "Batch.add_varint: negative";
-  go v
-
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
-let add_opt buf add = function
-  | None -> Buffer.add_char buf '\000'
-  | Some v ->
-      Buffer.add_char buf '\001';
-      add buf v
-
-let add_big buf w = add_str buf (Bignum.to_string w)
-let add_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
-
 let encode_outcome o =
+  let open Util.Binio in
   let buf = Buffer.create 128 in
+  let add_big buf w = add_str buf (Bignum.to_string w) in
   Buffer.add_string buf "PBO1";
   (match o with
   | Vm_embedded { program; bytes_before; bytes_after } ->
@@ -116,9 +94,8 @@ let encode_outcome o =
       add_opt buf add_bool matched
   | Vm_attacked { survived } ->
       Buffer.add_char buf 'A';
-      add_varint buf (List.length survived);
-      List.iter
-        (fun (name, alive) ->
+      add_list buf
+        (fun buf (name, alive) ->
           add_str buf name;
           add_bool buf alive)
         survived
@@ -131,14 +108,7 @@ let encode_outcome o =
       add_varint buf bytes_after
   | Audited { passes; marked_fns; flagged_fns; clean_flagged; ndiags } ->
       Buffer.add_char buf 'U';
-      let add_list l =
-        add_varint buf (List.length l);
-        List.iter (add_str buf) l
-      in
-      add_list passes;
-      add_list marked_fns;
-      add_list flagged_fns;
-      add_list clean_flagged;
+      List.iter (add_list buf add_str) [ passes; marked_fns; flagged_fns; clean_flagged ];
       add_varint buf ndiags
   | Tournament_measured { attack; control; survived; false_positive; confidence; nfaults } ->
       Buffer.add_char buf 'T';
@@ -155,92 +125,65 @@ let encode_outcome o =
       add_varint buf attempts);
   Buffer.contents buf
 
-exception Malformed
-
 let decode_outcome s =
-  let pos = ref 0 in
-  let byte () =
-    if !pos >= String.length s then raise Malformed;
-    let b = Char.code s.[!pos] in
-    incr pos;
-    b
-  in
-  let varint () =
-    let rec go shift acc =
-      let b = byte () in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
+  let open Util.Binio in
+  let r = reader s in
+  let big r = try Bignum.of_string (str r) with _ -> raise (Malformed "bad bignum") in
+  match
+    magic r "PBO1";
+    let o =
+      match Char.chr (byte r) with
+      | 'E' ->
+          let program = str r in
+          let bytes_before = varint r in
+          let bytes_after = varint r in
+          Vm_embedded { program; bytes_before; bytes_after }
+      | 'R' ->
+          let value = opt r big in
+          let matched = opt r bool in
+          Vm_recognized { value; matched }
+      | 'A' ->
+          let survived =
+            list r (fun r ->
+                let name = str r in
+                (name, bool r))
+          in
+          Vm_attacked { survived }
+      | 'N' ->
+          let binary = str r in
+          let begin_addr = varint r in
+          let end_addr = varint r in
+          let bytes_before = varint r in
+          let bytes_after = varint r in
+          Native_embedded { binary; begin_addr; end_addr; bytes_before; bytes_after }
+      | 'U' ->
+          let passes = list r str in
+          let marked_fns = list r str in
+          let flagged_fns = list r str in
+          let clean_flagged = list r str in
+          let ndiags = varint r in
+          Audited { passes; marked_fns; flagged_fns; clean_flagged; ndiags }
+      | 'T' ->
+          let attack = str r in
+          let control = bool r in
+          let survived = bool r in
+          let false_positive = bool r in
+          let confidence =
+            match float_of_string_opt (str r) with Some c -> c | None -> raise (Malformed "bad float")
+          in
+          let nfaults = varint r in
+          Tournament_measured { attack; control; survived; false_positive; confidence; nfaults }
+      | 'F' ->
+          let reason = str r in
+          let attempts = varint r in
+          Failed { reason; attempts }
+      | _ -> raise (Malformed "bad outcome tag")
     in
-    go 0 0
-  in
-  let str () =
-    let n = varint () in
-    if n < 0 || !pos + n > String.length s then raise Malformed;
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  let opt read = match byte () with 0 -> None | 1 -> Some (read ()) | _ -> raise Malformed in
-  let big () = try Bignum.of_string (str ()) with _ -> raise Malformed in
-  let boolean () = match byte () with 0 -> false | 1 -> true | _ -> raise Malformed in
-  try
-    if String.length s < 5 || String.sub s 0 4 <> "PBO1" then None
-    else begin
-      pos := 4;
-      let o =
-        match Char.chr (byte ()) with
-        | 'E' ->
-            let program = str () in
-            let bytes_before = varint () in
-            let bytes_after = varint () in
-            Vm_embedded { program; bytes_before; bytes_after }
-        | 'R' ->
-            let value = opt big in
-            let matched = opt boolean in
-            Vm_recognized { value; matched }
-        | 'A' ->
-            let n = varint () in
-            let survived =
-              List.init n (fun _ ->
-                  let name = str () in
-                  let alive = boolean () in
-                  (name, alive))
-            in
-            Vm_attacked { survived }
-        | 'N' ->
-            let binary = str () in
-            let begin_addr = varint () in
-            let end_addr = varint () in
-            let bytes_before = varint () in
-            let bytes_after = varint () in
-            Native_embedded { binary; begin_addr; end_addr; bytes_before; bytes_after }
-        | 'U' ->
-            let lst () = List.init (varint ()) (fun _ -> str ()) in
-            let passes = lst () in
-            let marked_fns = lst () in
-            let flagged_fns = lst () in
-            let clean_flagged = lst () in
-            let ndiags = varint () in
-            Audited { passes; marked_fns; flagged_fns; clean_flagged; ndiags }
-        | 'T' ->
-            let attack = str () in
-            let control = boolean () in
-            let survived = boolean () in
-            let false_positive = boolean () in
-            let confidence =
-              match float_of_string_opt (str ()) with Some c -> c | None -> raise Malformed
-            in
-            let nfaults = varint () in
-            Tournament_measured { attack; control; survived; false_positive; confidence; nfaults }
-        | 'F' ->
-            let reason = str () in
-            let attempts = varint () in
-            Failed { reason; attempts }
-        | _ -> raise Malformed
-      in
-      if !pos <> String.length s then None else Some o
-    end
-  with Malformed -> None
+    finish r;
+    o
+  with
+  | o -> Some o
+  | exception Malformed _ -> None
 
 (* ---- job execution ---- *)
 
@@ -258,6 +201,24 @@ let default_recognize_fuel = 200_000_000
 
 let match_against expected value =
   Option.map (fun e -> match value with Some v -> Bignum.equal v e | None -> false) expected
+
+(* A tournament cell's verdict.  Control cells measure credibility: any
+   recovery of the fingerprint from the unmarked program is a false
+   positive; on a marked cell it is survival. *)
+let cell_recovered (cell : Job.cell_spec) value =
+  match value with Some v -> Bignum.equal v cell.Job.cell_fingerprint | None -> false
+
+let measure_cell (cell : Job.cell_spec) ~value ~confidence ~nfaults =
+  let recovered = cell_recovered cell value and control = cell.Job.cell_control in
+  Tournament_measured
+    {
+      attack = cell.Job.cell_attack;
+      control;
+      survived = (not control) && recovered;
+      false_positive = control && recovered;
+      confidence;
+      nfaults;
+    }
 
 (* Every job but the jwm embed goes through the generic registry
    interface ({!Scheme.Builtin}): recognition replays the cached trace
@@ -290,6 +251,23 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
     | Scheme.Watermarker.Vm_program marked -> (marked, e)
     | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme)
   in
+  (* replay a branch stream through the scheme's recognizer after [plan]
+     corrupted it, reporting how many events the plan hit *)
+  let recognize_injected recognize_branches spec ~plan ~salt branches =
+    let branches, nfaults =
+      match plan with None -> (branches, 0) | Some plan -> Fault.Inject.branches plan ~salt branches
+    in
+    if nfaults > 0 then
+      emit events
+        (Events.Fault_injected
+           {
+             id;
+             label = job.Job.label;
+             layer = "trace";
+             detail = Printf.sprintf "%d branch event(s) corrupted" nfaults;
+           });
+    (timed ?events ~id ~stage:"recognize" (fun () -> recognize_branches spec branches), nfaults)
+  in
   match job.Job.action with
   | Job.Embed { fingerprint; pieces } ->
       let marked, e = embed fingerprint (scheme_spec job ~redundancy:pieces) in
@@ -318,22 +296,10 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
                   | Some c -> Cache.with_bytes ?events c ~stage:"trace" ~key:(Job.trace_digest job) capture
                   | None -> capture ())
             in
-            let branches = Stackvm.Trace.load_branches trace_bytes in
-            let branches, nfaults =
-              match inject with
-              | None -> (branches, 0)
-              | Some plan -> Fault.Inject.branches plan ~salt:(Job.trace_digest job) branches
+            let r, nfaults =
+              recognize_injected recognize_branches spec ~plan:inject ~salt:(Job.trace_digest job)
+                (Stackvm.Trace.load_branches trace_bytes)
             in
-            if nfaults > 0 then
-              emit events
-                (Events.Fault_injected
-                   {
-                     id;
-                     label = job.Job.label;
-                     layer = "trace";
-                     detail = Printf.sprintf "%d branch event(s) corrupted" nfaults;
-                   });
-            let r = timed ?events ~id ~stage:"recognize" (fun () -> recognize_branches spec branches) in
             if r.Scheme.Watermarker.value <> None && nfaults > 0 then
               emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 });
             r
@@ -398,37 +364,18 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
                        ~input:job.Job.input)
                       .Stackvm.Trace.branches)
             in
-            let salt = Printf.sprintf "cell:%s:%s" (Job.trace_digest job) cell.Job.cell_attack in
-            let branches, nfaults = Fault.Inject.branches plan ~salt branches in
-            if nfaults > 0 then
-              emit events
-                (Events.Fault_injected
-                   {
-                     id;
-                     label = job.Job.label;
-                     layer = "trace";
-                     detail = Printf.sprintf "%d branch event(s) corrupted" nfaults;
-                   });
-            (timed ?events ~id ~stage:"recognize" (fun () -> recognize_branches spec branches), nfaults)
+            recognize_injected recognize_branches spec ~plan:(Some plan)
+              ~salt:(Printf.sprintf "cell:%s:%s" (Job.trace_digest job) cell.Job.cell_attack)
+              branches
         | _ ->
             ( timed ?events ~id ~stage:"recognize" (fun () ->
                   W.recognize spec (Scheme.Watermarker.Vm_program attacked)),
               0 )
       in
-      let recovered_fp =
-        match r.Scheme.Watermarker.value with Some v -> Bignum.equal v fingerprint | None -> false
-      in
-      if recovered_fp && nfaults > 0 then
+      let value = r.Scheme.Watermarker.value in
+      if cell_recovered cell value && nfaults > 0 then
         emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 });
-      Tournament_measured
-        {
-          attack = cell.Job.cell_attack;
-          control = cell.Job.cell_control;
-          survived = (not cell.Job.cell_control) && recovered_fp;
-          false_positive = cell.Job.cell_control && recovered_fp;
-          confidence = r.Scheme.Watermarker.confidence;
-          nfaults;
-        }
+      measure_cell cell ~value ~confidence:r.Scheme.Watermarker.confidence ~nfaults
   | Job.Audit { fingerprint } ->
       let marked, _ =
         embed fingerprint (scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy)
@@ -621,18 +568,7 @@ let compute_native ?events ~id (job : Job.t) program =
               ~salt:(Job.trace_digest job ^ ":" ^ cell.Job.cell_attack)
               ~plan attacked ~begin_addr ~end_addr ~input:job.Job.input)
       in
-      let recovered_fp =
-        match value with Some v -> Bignum.equal v fingerprint | None -> false
-      in
-      Tournament_measured
-        {
-          attack = cell.Job.cell_attack;
-          control = cell.Job.cell_control;
-          survived = (not cell.Job.cell_control) && recovered_fp;
-          false_positive = cell.Job.cell_control && recovered_fp;
-          confidence;
-          nfaults = (if Option.is_some plan then 1 else 0);
-        }
+      measure_cell cell ~value ~confidence ~nfaults:(if Option.is_some plan then 1 else 0)
   | Job.Audit { fingerprint } ->
       let report = embed fingerprint in
       let clean_binary = Nativesim.Asm.assemble program in

@@ -4,29 +4,13 @@
 let version = 3
 let max_frame = 64 * 1024 * 1024
 
-(* ---- payload codec ---- *)
+(* ---- payload codec: {!Util.Binio}'s, plus the kinds, decimal integers
+   and entry records the protocol carries ---- *)
 
-exception Malformed of string
-
-let add_varint buf v =
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
-      go (v lsr 7)
-    end
-  in
-  if v < 0 then invalid_arg "Wire.add_varint: negative";
-  go v
-
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
+open Util.Binio
 
 let add_kind buf k = add_str buf (Store.Artifact.kind_to_string k)
-let add_int_list buf xs =
-  add_varint buf (List.length xs);
-  List.iter (fun x -> add_str buf (string_of_int x)) xs
+let add_int_list buf xs = add_list buf (fun buf x -> add_str buf (string_of_int x)) xs
 
 let add_info buf (i : Proto.entry_info) =
   add_kind buf i.Proto.kind;
@@ -34,29 +18,6 @@ let add_info buf (i : Proto.entry_info) =
   add_str buf i.label;
   add_varint buf i.size;
   add_varint buf i.seq
-
-type reader = { s : string; mutable pos : int }
-
-let byte r =
-  if r.pos >= String.length r.s then raise (Malformed "truncated");
-  let b = Char.code r.s.[r.pos] in
-  r.pos <- r.pos + 1;
-  b
-
-let varint r =
-  let rec go shift acc =
-    let b = byte r in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
-
-let str r =
-  let n = varint r in
-  if n < 0 || r.pos + n > String.length r.s then raise (Malformed "truncated string");
-  let v = String.sub r.s r.pos n in
-  r.pos <- r.pos + n;
-  v
 
 let kind r =
   match Store.Artifact.kind_of_string (str r) with
@@ -66,11 +27,6 @@ let kind r =
 let int_of_str r =
   let s = str r in
   match int_of_string_opt s with Some v -> v | None -> raise (Malformed ("bad integer " ^ s))
-
-let int_list r =
-  let n = varint r in
-  if n < 0 || n > String.length r.s - r.pos then raise (Malformed "bad list length");
-  List.init n (fun _ -> int_of_str r)
 
 let info r =
   let kind = kind r in
@@ -84,19 +40,17 @@ let bignum r =
   let s = str r in
   try Bignum.of_string s with _ -> raise (Malformed ("bad bignum " ^ s))
 
-let finish r v =
-  if r.pos <> String.length r.s then raise (Malformed "trailing bytes");
-  v
-
 let with_reader payload f =
+  let r = reader payload in
   try
-    let r = { s = payload; pos = 0 } in
     let v = byte r in
     if v <> version then Error (Printf.sprintf "protocol version %d, expected %d" v version)
-    else Ok (finish r (f r))
-  with
-  | Malformed msg -> Error msg
-  | Invalid_argument msg -> Error msg
+    else begin
+      let decoded = f r in
+      finish r;
+      Ok decoded
+    end
+  with Malformed msg -> Error msg
 
 let payload f =
   let buf = Buffer.create 64 in
@@ -180,7 +134,7 @@ let decode_request s =
             | Some v -> v
             | None -> raise (Malformed ("bad seed " ^ s))
           in
-          let input = int_list r in
+          let input = list r int_of_str in
           let program = str r in
           Proto.Embed { scheme; program; key; bits; pieces; fingerprint; input; seed }
       | 'R' ->
@@ -193,7 +147,7 @@ let decode_request s =
           in
           let key = str r in
           let bits = varint r in
-          let input = int_list r in
+          let input = list r int_of_str in
           Proto.Recognize { scheme; source; key; bits; input }
       | 'S' -> Proto.Stats
       | 'L' -> Proto.List_artifacts
@@ -227,24 +181,15 @@ let encode_response resp =
           add_varint buf bytes_after
       | Proto.Recognized { value; confidence; registered } ->
           Buffer.add_char buf 'r';
-          (match value with
-          | None -> Buffer.add_char buf '\x00'
-          | Some v ->
-              Buffer.add_char buf '\x01';
-              add_str buf (Bignum.to_string v));
+          add_opt buf (fun buf v -> add_str buf (Bignum.to_string v)) value;
           add_str buf (Printf.sprintf "%h" confidence);
-          (match registered with
-          | None -> Buffer.add_char buf '\x00'
-          | Some i ->
-              Buffer.add_char buf '\x01';
-              add_info buf i)
+          add_opt buf add_info registered
       | Proto.Stats_reply { entries; journal_bytes; payload_bytes; puts; gets; requests; errors } ->
           Buffer.add_char buf 't';
           List.iter (add_varint buf) [ entries; journal_bytes; payload_bytes; puts; gets; requests; errors ]
       | Proto.Listing infos ->
           Buffer.add_char buf 'l';
-          add_varint buf (List.length infos);
-          List.iter (add_info buf) infos
+          add_list buf add_info infos
       | Proto.Pong { role; entries; journal_bytes; state_digest } ->
           Buffer.add_char buf 'g';
           add_str buf role;
@@ -259,11 +204,7 @@ let encode_response resp =
       | Proto.Blob_data { digest; payload } ->
           Buffer.add_char buf 'b';
           add_str buf digest;
-          (match payload with
-          | None -> Buffer.add_char buf '\x00'
-          | Some p ->
-              Buffer.add_char buf '\x01';
-              add_str buf p)
+          add_opt buf add_str payload
       | Proto.Promoted -> Buffer.add_char buf 'm'
       | Proto.Overloaded { inflight; limit } ->
           Buffer.add_char buf 'o';
@@ -290,14 +231,14 @@ let decode_response s =
           let bytes_after = varint r in
           Proto.Embedded { digest; label; bytes_before; bytes_after }
       | 'r' ->
-          let value = match byte r with 0 -> None | _ -> Some (bignum r) in
+          let value = opt r bignum in
           let confidence =
             let s = str r in
             match float_of_string_opt s with
             | Some f -> f
             | None -> raise (Malformed ("bad float " ^ s))
           in
-          let registered = match byte r with 0 -> None | _ -> Some (info r) in
+          let registered = opt r info in
           Proto.Recognized { value; confidence; registered }
       | 't' ->
           let entries = varint r in
@@ -308,10 +249,7 @@ let decode_response s =
           let requests = varint r in
           let errors = varint r in
           Proto.Stats_reply { entries; journal_bytes; payload_bytes; puts; gets; requests; errors }
-      | 'l' ->
-          let n = varint r in
-          if n < 0 || n > String.length r.s - r.pos then raise (Malformed "bad listing length");
-          Proto.Listing (List.init n (fun _ -> info r))
+      | 'l' -> Proto.Listing (list r info)
       | 'g' ->
           let role = str r in
           let entries = varint r in
@@ -325,7 +263,7 @@ let decode_response s =
           Proto.Journal_data { from_; total; data }
       | 'b' ->
           let digest = str r in
-          let payload = match byte r with 0 -> None | _ -> Some (str r) in
+          let payload = opt r str in
           Proto.Blob_data { digest; payload }
       | 'm' -> Proto.Promoted
       | 'o' ->

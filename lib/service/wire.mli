@@ -1,14 +1,19 @@
 (** Binary framing and codec for the service protocol.
 
     A frame is a little-endian [u32] payload length followed by the
-    payload; every payload starts with a protocol version byte (currently
-    [0x01]).  Inside, the codec reuses the journal's varint +
-    length-prefixed-string idiom; fingerprints, seeds and inputs travel
-    as decimal strings, floats as hexadecimal [%h] literals, so the wire
-    image is architecture-independent and round-trips exactly.
+    payload; every payload starts with the protocol version byte
+    ({!version}) and a tag byte.  The operands use {!Util.Binio}, the
+    codec every binary format shares: varint integers, length-prefixed
+    strings and lists, one-byte option tags.  Fingerprints, seeds and
+    inputs travel as decimal strings, floats as hexadecimal [%h]
+    literals, so the wire image is architecture-independent and
+    round-trips exactly.
 
     Decoders are total over the string codomain: arbitrary bytes yield
-    [Error], never an exception. *)
+    [Error], never an exception.  Everything {!Util.Binio} rejects
+    (overlong or overflowing varints, lengths past the input, option tags
+    other than [0]/[1]) is an [Error], as are unknown tags, a wrong
+    version byte and trailing bytes. *)
 
 val version : int
 (** Current protocol version byte. *)

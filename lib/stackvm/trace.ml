@@ -112,75 +112,51 @@ let hot_blocks t =
   List.sort (fun (_, c1) (_, c2) -> Stdlib.compare c2 c1) entries
 
 let save_events buf =
+  let open Util.Binio in
   let buf_out = Buffer.create (16 * Tracebuf.length buf) in
   Buffer.add_string buf_out "TRC1";
-  let varint v =
-    let rec go v =
-      if v < 0x80 then Buffer.add_char buf_out (Char.chr v)
-      else begin
-        Buffer.add_char buf_out (Char.chr (0x80 lor (v land 0x7F)));
-        go (v lsr 7)
-      end
-    in
-    go v
-  in
-  varint (Tracebuf.length buf);
+  add_varint buf_out (Tracebuf.length buf);
   Tracebuf.iter
     (fun e ->
-      varint (Tracebuf.fidx e);
-      varint (Tracebuf.pc e);
-      varint (if Tracebuf.taken e then 1 else 0))
+      add_varint buf_out (Tracebuf.fidx e);
+      add_varint buf_out (Tracebuf.pc e);
+      add_varint buf_out (if Tracebuf.taken e then 1 else 0))
     buf;
   Buffer.contents buf_out
 
 let save t = save_events t.events
 
-exception Malformed of string
-
 (* Salvage parser: a trace file is recognition evidence, and the CRT
    redundancy downstream is precisely what makes partial evidence usable —
    so malformed bytes yield the longest cleanly-decoded event prefix plus
-   a diagnostic, never an exception. *)
+   a diagnostic, never an exception.  The event count is read as a plain
+   varint, not a bounded list count: a truncated file still declares the
+   full count, and its surviving events are the evidence. *)
 let salvage_branches s =
-  if String.length s < 4 || String.sub s 0 4 <> "TRC1" then
-    ([], Some "bad magic (expected TRC1)")
-  else begin
-    let pos = ref 4 in
-    let byte () =
-      if !pos >= String.length s then raise (Malformed "truncated");
-      let b = Char.code s.[!pos] in
-      incr pos;
-      b
-    in
-    let varint () =
-      let rec go shift acc =
-        if shift > 62 then raise (Malformed "varint overflow");
-        let b = byte () in
-        let acc = acc lor ((b land 0x7F) lsl shift) in
-        if b land 0x80 = 0 then acc else go (shift + 7) acc
-      in
-      go 0 0
-    in
-    let out = ref [] in
-    let count = ref 0 in
-    match
-      let n = varint () in
-      (* decode sequentially: iteration order must follow the byte stream *)
-      for _ = 1 to n do
-        let fidx = varint () in
-        let pc = varint () in
-        let taken = varint () = 1 in
-        out := { fidx; pc; taken } :: !out;
-        incr count
-      done;
-      if !pos <> String.length s then
-        Some (Printf.sprintf "%d trailing byte(s) after %d event(s)" (String.length s - !pos) n)
-      else None
-    with
-    | diag -> (List.rev !out, diag)
-    | exception Malformed reason ->
-        ( List.rev !out,
-          Some (Printf.sprintf "%s at byte %d; salvaged %d event(s)" reason !pos !count) )
-  end
+  let open Util.Binio in
+  let r = reader s in
+  match magic r "TRC1" with
+  | exception Malformed reason -> ([], Some reason)
+  | () -> (
+      let out = ref [] in
+      let count = ref 0 in
+      match
+        let n = varint r in
+        (* decode sequentially: iteration order must follow the byte stream *)
+        for _ = 1 to n do
+          let fidx = varint r in
+          let pc = varint r in
+          let taken = varint r = 1 in
+          out := { fidx; pc; taken } :: !out;
+          incr count
+        done;
+        if pos r <> String.length s then
+          Some (Printf.sprintf "%d trailing byte(s) after %d event(s)" (String.length s - pos r) n)
+        else None
+      with
+      | diag -> (List.rev !out, diag)
+      | exception Malformed reason ->
+          ( List.rev !out,
+            Some (Printf.sprintf "%s at byte %d; salvaged %d event(s)" reason (pos r) !count) ))
 
 let load_branches s = fst (salvage_branches s)

@@ -48,24 +48,11 @@ type entry = {
 
 type op = Put of entry | Delete of { kind : kind; key : string; seq : int }
 
-(* ---- codec (same varint/str idiom as Engine.Batch's outcome codec) ---- *)
-
-let add_varint buf v =
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
-      go (v lsr 7)
-    end
-  in
-  if v < 0 then invalid_arg "Artifact.add_varint: negative";
-  go v
-
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
+(* ---- codec: a tag byte, the kind's tag byte, then the fields in
+   {!Util.Binio}'s codec ---- *)
 
 let encode op =
+  let open Util.Binio in
   let buf = Buffer.create 128 in
   (match op with
   | Put e ->
@@ -84,50 +71,33 @@ let encode op =
       add_str buf key);
   Buffer.contents buf
 
-exception Malformed
-
 let decode s =
-  let pos = ref 0 in
-  let byte () =
-    if !pos >= String.length s then raise Malformed;
-    let b = Char.code s.[!pos] in
-    incr pos;
-    b
+  let open Util.Binio in
+  let r = reader s in
+  let kind () =
+    match kind_of_tag (Char.chr (byte r)) with Some k -> k | None -> raise (Malformed "bad kind tag")
   in
-  let varint () =
-    let rec go shift acc =
-      let b = byte () in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
-  in
-  let str () =
-    let n = varint () in
-    if n < 0 || !pos + n > String.length s then raise Malformed;
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  let kind () = match kind_of_tag (Char.chr (byte ())) with Some k -> k | None -> raise Malformed in
-  try
+  match
     let op =
-      match Char.chr (byte ()) with
+      match Char.chr (byte r) with
       | 'P' ->
           let kind = kind () in
-          let seq = varint () in
-          let key = str () in
-          let label = str () in
-          let blob = str () in
-          let size = varint () in
-          let created_at = varint () in
+          let seq = varint r in
+          let key = str r in
+          let label = str r in
+          let blob = str r in
+          let size = varint r in
+          let created_at = varint r in
           Put { kind; key; label; blob; size; seq; created_at }
       | 'D' ->
           let kind = kind () in
-          let seq = varint () in
-          let key = str () in
+          let seq = varint r in
+          let key = str r in
           Delete { kind; key; seq }
-      | _ -> raise Malformed
+      | _ -> raise (Malformed "bad op tag")
     in
-    if !pos <> String.length s then None else Some op
-  with Malformed -> None
+    finish r;
+    op
+  with
+  | op -> Some op
+  | exception Malformed _ -> None

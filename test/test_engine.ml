@@ -416,3 +416,44 @@ let suite =
       test_native_jobs_name_rejected_scheme;
     Alcotest.test_case "events: counters, json, sink" `Quick test_events_counters_and_json;
   ]
+
+(* ---- PBO1: known answers for every outcome variant ---- *)
+
+let outcome_samples =
+  Batch.
+    [
+      Vm_embedded { program = "SVM1\x00prog"; bytes_before = 750; bytes_after = max_int };
+      Vm_recognized { value = Some (Bignum.of_string "123456789123456789"); matched = Some true };
+      Vm_recognized { value = None; matched = Some false };
+      Vm_recognized { value = None; matched = None };
+      Vm_attacked { survived = [ ("noop-insertion", true); ("rpg-strip", false) ] };
+      Native_embedded
+        { binary = "NBIN\x01"; begin_addr = 0x1000; end_addr = 0x10f0; bytes_before = 300; bytes_after = 1 lsl 40 };
+      Audited
+        { passes = [ "opaque"; "loops" ]; marked_fns = [ "main" ]; flagged_fns = []; clean_flagged = [ "x" ]; ndiags = 3 };
+      Tournament_measured
+        { attack = "identity"; control = false; survived = true; false_positive = false; confidence = 0.75; nfaults = 2 };
+      Failed { reason = "crash: boom"; attempts = 128 };
+    ]
+
+(* MD5s computed before the formats shared one codec *)
+let test_outcome_known_answers () =
+  Alcotest.(check (list string)) "PBO1 digests"
+    [
+      "c580670b7de9f22092a42938c6b73117";
+      "6a3b7f7e8b6e2df74b0018088acd21f6";
+      "1e7366b0e54a927cb2820fc28b2a26d1";
+      "4d597f7e2c98a691df77166c2c940849";
+      "3d898c6f6624cb0bea19d02bddbb471d";
+      "6b379f93e867dcd4ecb68e1639ca888d";
+      "3bf08ac3c2f584182d93917dd3e65064";
+      "9361f1e734f48974d125d07dd3a9f753";
+      "4312ed28e346f01ccd0845dc4e0a40aa";
+    ]
+    (List.map (fun o -> Edge_bytes.md5 (Batch.encode_outcome o)) outcome_samples);
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) "round-trips" true (Batch.decode_outcome (Batch.encode_outcome o) = Some o))
+    outcome_samples
+
+let suite = suite @ [ Alcotest.test_case "outcome codec known-answer bytes" `Quick test_outcome_known_answers ]

@@ -215,23 +215,42 @@ let qcheck_native_noise_below_threshold =
 let arb_bytes_with_magic magic =
   QCheck.(map (fun (with_magic, s) -> if with_magic then magic ^ s else s) (pair bool string))
 
+(* each property also draws one string from {!Edge_bytes}: a format header
+   followed by overlong, overflowing and negative-valued varints *)
+let with_edges arb prefixes = QCheck.pair arb (Edge_bytes.arb prefixes)
+
 let qcheck_decode_outcome_total =
   QCheck.Test.make ~name:"Batch.decode_outcome total on arbitrary bytes" ~count:300
-    QCheck.string (fun s ->
+    (with_edges QCheck.string (Edge_bytes.tagged "PBO1" [ 'E'; 'R'; 'A'; 'N'; 'U'; 'T'; 'F' ]))
+    (fun (s, edge) ->
       ignore (Batch.decode_outcome s);
+      ignore (Batch.decode_outcome edge);
       true)
 
 let qcheck_serialize_decode_total =
   QCheck.Test.make ~name:"Serialize.decode_opt total on arbitrary bytes" ~count:300
-    (arb_bytes_with_magic "SVM1") (fun s ->
+    (with_edges (arb_bytes_with_magic "SVM1") [ "SVM1"; "SVM1\x00"; "SVM1\x00\x01" ])
+    (fun (s, edge) ->
       ignore (Stackvm.Serialize.decode_opt s);
+      ignore (Stackvm.Serialize.decode_opt edge);
       true)
 
 let qcheck_salvage_total =
   QCheck.Test.make ~name:"Trace.salvage_branches total on arbitrary bytes" ~count:300
-    (arb_bytes_with_magic "TRC1") (fun s ->
+    (with_edges (arb_bytes_with_magic "TRC1") [ "TRC1"; "TRC1\x01"; "TRC1\x02" ])
+    (fun (s, edge) ->
       ignore (Stackvm.Trace.salvage_branches s);
+      ignore (Stackvm.Trace.salvage_branches edge);
       true)
+
+let qcheck_binary_decode_failure_only =
+  QCheck.Test.make ~name:"Binary.decode raises only Failure on arbitrary bytes" ~count:300
+    (with_edges (arb_bytes_with_magic "NBIN") [ "NBIN"; "NBIN\x00" ])
+    (fun (s, edge) ->
+      let decodes_or_fails s =
+        match Nativesim.Binary.decode s with _ -> true | exception Failure _ -> true
+      in
+      decodes_or_fails s && decodes_or_fails edge)
 
 (* ---- Events: fault variants through the JSON-lines sink ---- *)
 
@@ -431,6 +450,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_decode_outcome_total;
     QCheck_alcotest.to_alcotest qcheck_serialize_decode_total;
     QCheck_alcotest.to_alcotest qcheck_salvage_total;
+    QCheck_alcotest.to_alcotest qcheck_binary_decode_failure_only;
     Alcotest.test_case "fault events flow through the JSON sink" `Quick test_events_json_sink;
     Alcotest.test_case "injected crashes retry with deterministic backoff" `Quick
       test_batch_crash_retries;

@@ -424,3 +424,33 @@ let container_suite =
   ]
 
 let suite = suite @ container_suite
+
+(* ---- NBIN: overflow regression and known answer ---- *)
+
+let test_binary_rejects_overflowing_varint () =
+  match Binary.decode ("NBIN\x00" ^ Edge_bytes.overflowing_varint ^ "xxxxxxxx") with
+  | _ -> Alcotest.fail "negative text length decoded"
+  | exception Failure _ -> ()
+
+(* MD5 computed before the formats shared one codec *)
+let test_binary_known_answer () =
+  let w =
+    List.find (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name = "caffeine-sieve")
+      Workloads.Caffeine.kernels
+  in
+  let bin = Workloads.Workload.native_binary w in
+  (* the compiler numbers labels from a process-wide counter, so symbol
+     names and their order depend on what the process compiled before:
+     pin the bytes with the symbols renamed in address order *)
+  let symbols = List.mapi (fun i a -> (Printf.sprintf "L%d" i, a)) (List.sort compare (List.map snd bin.symbols)) in
+  let bin = { bin with symbols } in
+  let bytes = Binary.encode bin in
+  Alcotest.(check string) "NBIN of caffeine-sieve" "86d706c4cc8d3ef04179adc0108c8c33" (Edge_bytes.md5 bytes);
+  Alcotest.(check bool) "round-trips" true (Binary.decode bytes = bin)
+
+let suite =
+  suite
+  @ [
+      ("binary decode rejects overflowing varint", `Quick, test_binary_rejects_overflowing_varint);
+      ("NBIN known-answer bytes", `Quick, test_binary_known_answer);
+    ]

@@ -92,11 +92,88 @@ let test_response_roundtrip () =
     sample_responses
 
 let decode_total =
+  (* the version byte and tag of every request and response *)
+  let heads =
+    List.map (fun req -> String.sub (Wire.encode_request req) 0 2) sample_requests
+    @ List.map (fun resp -> String.sub (Wire.encode_response resp) 0 2) sample_responses
+  in
   QCheck.Test.make ~name:"wire decoders are total" ~count:500
-    (QCheck.string_gen_of_size (QCheck.Gen.int_bound 80) (QCheck.Gen.map Char.chr (QCheck.Gen.int_bound 255)))
-    (fun junk ->
-      (match Wire.decode_request junk with Ok _ | Error _ -> true)
-      && match Wire.decode_response junk with Ok _ | Error _ -> true)
+    (QCheck.pair
+       (QCheck.string_gen_of_size (QCheck.Gen.int_bound 80) (QCheck.Gen.map Char.chr (QCheck.Gen.int_bound 255)))
+       (Edge_bytes.arb heads))
+    (fun (junk, edge) ->
+      List.for_all
+        (fun s ->
+          (match Wire.decode_request s with Ok _ | Error _ -> true)
+          && match Wire.decode_response s with Ok _ | Error _ -> true)
+        [ junk; edge ])
+
+(* MD5s computed before the formats shared one codec: every request and
+   response variant keeps its exact bytes *)
+let test_known_answers () =
+  Alcotest.(check (list string)) "request digests"
+    [
+      "0b274ca262990e18941c1f4667dedccb";
+      "37097b2eb83185cb946c6b5d1537bce7";
+      "03d844bea55cfd00a6fac2fb6d8752c3";
+      "859d0f2711f743b48fe12cd0f0a47d09";
+      "764ed29a32b7565cdc1e6c68e20e07a5";
+      "b80660ce78a574bd878ce12b94a687c4";
+      "56f620338c9fe410a0369834c5825af1";
+      "d2bbb0942638f433b42ae9de241b17f7";
+      "a45e087c7e13b4b20da473fd2f7cecf4";
+      "e11b3cfe470196fc681eb470818d94d6";
+      "5277c89a4ac882a17e93b64d97c52ce4";
+      "6fbf0afa9c442d2d5f9c1906ee873f76";
+    ]
+    (List.map (fun req -> Edge_bytes.md5 (Wire.encode_request req)) sample_requests);
+  Alcotest.(check (list string)) "response digests"
+    [
+      "4a79d74a4a22a48c974f7525efcd7ad5";
+      "5b578a5f6c7d864d9b286f2303bda988";
+      "13150a29412e12cbb56832c2d943beed";
+      "a1ebe1e46bb4c5cf2f692ac2f107b21e";
+      "774c663727f1483e862af88e85f42b05";
+      "4b71858c3cde2185b5865dd73c8f16e5";
+      "64c27b6375b0f0c390bd36d68d973f05";
+      "6cb66a0c48fd3cfa99e9752a31d83b8a";
+      "b70e47fc7dc746e996772edb7f6f7953";
+      "7668630532093d90bd16957717c6f326";
+      "018ba550708553fac61f93264d945c60";
+      "39648f96318f3ac1b14777f1b38dbd8d";
+      "1ea2dde7090a7b89bd5a64698113b727";
+      "f3b3b156f87ce5c04760f4fa875d4236";
+      "937c755db41cf40aa720d36ef8de1dde";
+    ]
+    (List.map (fun resp -> Edge_bytes.md5 (Wire.encode_response resp)) sample_responses)
+
+(* an option tag other than 0/1 is malformed, not [Some] *)
+let test_rejects_bad_option_tag () =
+  let good = Wire.encode_response (Proto.Blob_data { digest = "d"; payload = None }) in
+  (* swap the final None tag for tag 2 followed by a well-formed string *)
+  let bad = String.sub good 0 (String.length good - 1) ^ "\x02\x01p" in
+  match Wire.decode_response bad with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "option tag 2 accepted"
+
+(* program bytes holding a negative-valued varint are the client's fault:
+   the handler answers bad-request instead of raising *)
+let test_recognize_overflowing_program () =
+  with_temp_dir (fun dir ->
+      let store = Store.Registry.open_store ~root:(Filename.concat dir "reg") () in
+      let pool = Engine.Pool.create ~domains:1 () in
+      Fun.protect
+        ~finally:(fun () ->
+          Engine.Pool.shutdown pool;
+          Store.Registry.close store)
+        (fun () ->
+          let req =
+            Proto.Recognize
+              { scheme = "jwm"; source = `Bytes Edge_bytes.svm1_negative_name; key = "k"; bits = 64; input = [] }
+          in
+          match Service.Server.handle ~store ~pool ~requests:0 ~errors:0 req with
+          | Proto.Error { code; _ } -> Alcotest.(check string) "error code" "bad-request" code
+          | _ -> Alcotest.fail "undecodable program recognized"))
 
 let test_rejects_trailing_and_version () =
   let good = Wire.encode_request Proto.Stats in
@@ -296,6 +373,10 @@ let suite =
     Alcotest.test_case "response codec round-trips" `Quick test_response_roundtrip;
     QCheck_alcotest.to_alcotest decode_total;
     Alcotest.test_case "rejects trailing bytes and wrong version" `Quick test_rejects_trailing_and_version;
+    Alcotest.test_case "wire codec known-answer bytes" `Quick test_known_answers;
+    Alcotest.test_case "rejects option tags other than 0 and 1" `Quick test_rejects_bad_option_tag;
+    Alcotest.test_case "recognize of overflowing program bytes is a bad request" `Quick
+      test_recognize_overflowing_program;
     Alcotest.test_case "end-to-end over a unix socket" `Quick test_end_to_end;
     Alcotest.test_case "max-requests stops the server" `Quick test_max_requests_stops_server;
   ]

@@ -613,3 +613,44 @@ let suite =
       ("trace load salvages garbage", `Quick, test_trace_load_garbage);
       ("trace load salvages truncation", `Quick, test_trace_load_truncated);
     ]
+
+(* ---- byte formats: overflow regressions and known answers ---- *)
+
+let test_serialize_rejects_overflowing_varints () =
+  Alcotest.(check bool) "negative name length is malformed" true
+    (Serialize.decode_opt Edge_bytes.svm1_negative_name = None);
+  Alcotest.(check bool) "negative global count is malformed" true
+    (Serialize.decode_opt ("SVM1" ^ Edge_bytes.overflowing_varint ^ "\x00\x00") = None);
+  match Serialize.decode Edge_bytes.svm1_negative_name with
+  | _ -> Alcotest.fail "decoded"
+  | exception Failure _ -> ()
+
+let caffeine_sieve =
+  List.find (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name = "caffeine-sieve")
+    Workloads.Caffeine.kernels
+
+(* MD5s of encodings computed before the formats shared one codec: every
+   byte the writers emit must stay the same *)
+let test_known_answer_bytes () =
+  let prog = Workloads.Workload.vm_program caffeine_sieve in
+  Alcotest.(check string) "SVM1 of caffeine-sieve" "0ab7f92c5d395ec8caa8284b623246a9" (Edge_bytes.md5 (Serialize.encode prog));
+  let trace = Trace.capture prog ~input:caffeine_sieve.Workloads.Workload.input in
+  Alcotest.(check string) "TRC1 of its trace" "9703fb473f213a9ded38d79a3f2371f0" (Edge_bytes.md5 (Trace.save trace));
+  (* zigzag constants at both 63-bit extremes take all nine bytes *)
+  let extremes =
+    Program.make
+      [
+        Asm.func ~name:"main" ~nargs:0 ~nlocals:1
+          Asm.[ I (Const min_int); I (Const max_int); I (Const (-1)); I (Const 0); I (Store 0); I Ret ];
+      ]
+  in
+  let bytes = Serialize.encode extremes in
+  Alcotest.(check string) "SVM1 of 63-bit extreme constants" "2dd1024c73732f58a34b5ea33d13d334" (Edge_bytes.md5 bytes);
+  Alcotest.(check bool) "extremes round-trip" true (Serialize.decode bytes = extremes)
+
+let suite =
+  suite
+  @ [
+      ("serialize rejects overflowing varints", `Quick, test_serialize_rejects_overflowing_varints);
+      ("SVM1 and TRC1 known-answer bytes", `Quick, test_known_answer_bytes);
+    ]

@@ -61,11 +61,15 @@ let op_roundtrip =
       Artifact.decode (Artifact.encode op) = Some op)
 
 let op_total =
+  let tags = List.map (fun k -> (Artifact.encode (Artifact.Delete { kind = k; key = ""; seq = 0 })).[1]) Artifact.all_kinds in
   QCheck.Test.make ~name:"artifact decode is total"
     ~count:300
-    QCheck.(string_gen_of_size (QCheck.Gen.int_bound 60) (QCheck.Gen.map Char.chr (QCheck.Gen.int_bound 255)))
-    (fun junk ->
-      match Artifact.decode junk with Some _ | None -> true)
+    (QCheck.pair
+       QCheck.(string_gen_of_size (QCheck.Gen.int_bound 60) (QCheck.Gen.map Char.chr (QCheck.Gen.int_bound 255)))
+       (Edge_bytes.arb (Edge_bytes.tagged "P" tags @ Edge_bytes.tagged "D" tags)))
+    (fun (junk, edge) ->
+      (match Artifact.decode junk with Some _ | None -> true)
+      && match Artifact.decode edge with Some _ | None -> true)
 
 (* ---- registry round-trips, including across reopen ---- *)
 
@@ -277,3 +281,43 @@ let suite =
     Alcotest.test_case "bad magic raises" `Quick test_bad_magic_raises;
     Alcotest.test_case "compaction preserves contents" `Quick test_compaction_preserves_contents;
   ]
+
+(* ---- journal records: known answers ---- *)
+
+(* MD5s computed before the formats shared one codec *)
+let test_op_known_answers () =
+  let ops =
+    [
+      Artifact.Put
+        {
+          kind = Artifact.Vm_program;
+          key = "9e107d9d372bb6826bd81d3542a419d6";
+          label = "fp:424242";
+          blob = "e4d909c290d0fb1ca068ffaddf22cbd0";
+          size = 4814;
+          seq = 300;
+          created_at = 1_700_000_000;
+        };
+      Artifact.Delete { kind = Artifact.Cache_entry; key = "k\x00\xff"; seq = max_int };
+    ]
+  in
+  Alcotest.(check (list string)) "journal record digests"
+    [
+      "1f6ef7b5fac24b2ffc6ee27601cad3ed";
+      "7523dad52bd091e065563376e54d6765";
+    ]
+    (List.map (fun op -> Edge_bytes.md5 (Artifact.encode op)) ops);
+  List.iter (fun op -> Alcotest.(check bool) "round-trips" true (Artifact.decode (Artifact.encode op) = Some op)) ops
+
+(* a key length of max_int (nine bytes ending 0x3F) must not overflow the
+   bounds check into an out-of-range read *)
+let test_op_max_length () =
+  Alcotest.(check bool) "max_int key length is malformed" true
+    (Artifact.decode ("Pv\x01" ^ String.make 8 '\xff' ^ "\x3fkey") = None)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "journal record known-answer bytes" `Quick test_op_known_answers;
+      Alcotest.test_case "journal record with a max_int length is malformed" `Quick test_op_max_length;
+    ]

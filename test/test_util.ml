@@ -184,3 +184,85 @@ let more_suite =
   ]
 
 let suite = suite @ more_suite
+
+(* ---- Binio: the shared byte codec ---- *)
+
+let encoded add v =
+  let buf = Buffer.create 16 in
+  add buf v;
+  Buffer.contents buf
+
+let malformed read s =
+  match read (Binio.reader s) with _ -> false | exception Binio.Malformed _ -> true
+
+let test_binio_varint_bounds () =
+  List.iter
+    (fun (v, len) ->
+      let s = encoded Binio.add_varint v in
+      Alcotest.(check int) (Printf.sprintf "%d takes %d byte(s)" v len) len (String.length s);
+      let r = Binio.reader s in
+      Alcotest.(check int) "round-trips" v (Binio.varint r);
+      Binio.finish r)
+    [ (0, 1); (127, 1); (128, 2); ((1 lsl 56) - 1, 8); (1 lsl 56, 9); (max_int, 9) ];
+  Alcotest.(check string) "max_int ends on 0x3F" "\x3f" (String.sub (encoded Binio.add_varint max_int) 8 1);
+  Alcotest.check_raises "negative refused" (Invalid_argument "Binio.add_varint: negative") (fun () ->
+      ignore (encoded Binio.add_varint (-1)));
+  Alcotest.(check bool) "ninth byte setting the sign bit" true
+    (malformed Binio.varint Edge_bytes.overflowing_varint);
+  Alcotest.(check bool) "ninth byte 0x40" true (malformed Binio.varint (String.make 8 '\x80' ^ "\x40"));
+  Alcotest.(check bool) "ten bytes" true (malformed Binio.varint (String.make 9 '\x80' ^ "\x00"));
+  Alcotest.(check bool) "dangling continuation" true (malformed Binio.varint "\x85");
+  Alcotest.(check int) "non-canonical but in range" 0 (Binio.varint (Binio.reader "\x80\x00"))
+
+let test_binio_zigzag_extremes () =
+  List.iter
+    (fun v ->
+      let s = encoded Binio.add_zigzag v in
+      Alcotest.(check bool) "at most nine bytes" true (String.length s <= 9);
+      Alcotest.(check int) (Printf.sprintf "%d round-trips" v) v (Binio.zigzag (Binio.reader s)))
+    [ 0; 1; -1; 63; -64; 64; max_int; min_int; max_int - 1; min_int + 1 ];
+  Alcotest.(check bool) "ten bytes" true (malformed Binio.zigzag (String.make 9 '\xff' ^ "\x01"))
+
+let test_binio_lengths_and_tags () =
+  Alcotest.(check bool) "string longer than the input" true (malformed Binio.str "\x05abcd");
+  Alcotest.(check bool) "negative string length" true (malformed Binio.str Edge_bytes.overflowing_varint);
+  Alcotest.(check bool) "max_int string length" true (malformed Binio.str (String.make 8 '\xff' ^ "\x3fabc"));
+  Alcotest.(check bool) "count larger than the input" true
+    (malformed (fun r -> Binio.list r Binio.byte) "\x04\x00\x00\x00");
+  Alcotest.(check bool) "boolean tag 2" true (malformed Binio.bool "\x02");
+  Alcotest.(check bool) "option tag 2" true (malformed (fun r -> Binio.opt r Binio.byte) "\x02\x00");
+  Alcotest.(check bool) "short magic" true (malformed (fun r -> Binio.magic r "SVM1") "SVM");
+  Alcotest.(check bool) "wrong magic" true (malformed (fun r -> Binio.magic r "SVM1") "TRC1");
+  Alcotest.(check bool) "trailing bytes" true (malformed Binio.finish "x");
+  let s =
+    encoded
+      (fun buf () ->
+        Binio.add_str buf "ab";
+        Binio.add_bool buf true;
+        Binio.add_opt buf Binio.add_zigzag (Some (-5));
+        Binio.add_opt buf Binio.add_str None;
+        Binio.add_list buf Binio.add_varint [ 1; 300; 2 ])
+      ()
+  in
+  let r = Binio.reader s in
+  Alcotest.(check string) "str" "ab" (Binio.str r);
+  Alcotest.(check bool) "bool" true (Binio.bool r);
+  Alcotest.(check (option int)) "some" (Some (-5)) (Binio.opt r Binio.zigzag);
+  Alcotest.(check (option string)) "none" None (Binio.opt r Binio.str);
+  Alcotest.(check (list int)) "list in stream order" [ 1; 300; 2 ] (Binio.list r Binio.varint);
+  Alcotest.(check int) "pos at the end" (String.length s) (Binio.pos r);
+  Binio.finish r
+
+let qcheck_binio_roundtrip =
+  QCheck.Test.make ~name:"Binio varint and zigzag round-trip every int" ~count:500 QCheck.int (fun v ->
+      Binio.zigzag (Binio.reader (encoded Binio.add_zigzag v)) = v
+      && Binio.varint (Binio.reader (encoded Binio.add_varint (v land max_int))) = v land max_int)
+
+let suite =
+  suite
+  @ [
+      ("binio varint bounds", `Quick, test_binio_varint_bounds);
+      ("binio zigzag extremes", `Quick, test_binio_zigzag_extremes);
+      ("binio lengths and tags", `Quick, test_binio_lengths_and_tags);
+      QCheck_alcotest.to_alcotest qcheck_binio_roundtrip;
+    ]
